@@ -26,12 +26,10 @@ from .channels import (
     kraus_from_params,
 )
 from .kernels import (
-    DeltaKernel,
     ExponentialKernel,
     NumericalBlowupError,
     SampledKernel,
     ScalarEvolution,
-    UnsupportedKernelError,
     exponential_kernel_poles,
     solve_volterra,
 )
@@ -104,10 +102,8 @@ __all__ = [
     "markov_rates",
     # kernels
     "ExponentialKernel",
-    "DeltaKernel",
     "SampledKernel",
     "ScalarEvolution",
-    "UnsupportedKernelError",
     "NumericalBlowupError",
     "exponential_kernel_poles",
     "solve_volterra",

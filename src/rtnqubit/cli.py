@@ -284,8 +284,6 @@ def _cmd_mc_validate(cfg: dict) -> int:
     rho0 = linalg.bloch_to_density(b0)
     grid = np.linspace(0.0, cfg["nu_max"], cfg["steps"] + 1)
     n = cfg["trajectories"]
-    if n < 1:
-        raise UsageError("trajectories must be >= 1")
     if n == 1:
         t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
         rng = montecarlo.trajectory_rng(cfg["seed"], 0)

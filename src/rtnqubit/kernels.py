@@ -15,8 +15,7 @@ memory kernel.  This module solves that equation two ways:
 
 The quadrature combines the trapezoidal rule for the memory integral with
 Heun (predictor-corrector) time stepping and converges at second order in
-the step size.  A delta kernel has no time-domain quadrature; white-noise
-evolution is handled in closed form by
+the step size.  White-noise evolution is handled in closed form by
 :func:`rtnqubit.telegraph.markov_propagate`.
 """
 
@@ -30,18 +29,12 @@ import numpy as np
 
 __all__ = [
     "ExponentialKernel",
-    "DeltaKernel",
     "SampledKernel",
     "ScalarEvolution",
-    "UnsupportedKernelError",
     "NumericalBlowupError",
     "exponential_kernel_poles",
     "solve_volterra",
 ]
-
-
-class UnsupportedKernelError(ValueError):
-    """The requested kernel cannot be handled by this code path."""
 
 
 class NumericalBlowupError(RuntimeError):
@@ -72,21 +65,6 @@ class ExponentialKernel:
             raise ValueError("kernel argument must be >= 0")
         out = np.exp(-dt / self.tau)
         return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class DeltaKernel:
-    """k(dt) = strength * delta(dt); only meaningful in closed form.
-
-    Not callable: a delta function has no pointwise values to feed a
-    quadrature rule.
-    """
-
-    strength: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.strength) and self.strength > 0.0):
-            raise ValueError(f"kernel strength must be > 0, got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +102,7 @@ class SampledKernel:
         return float(out) if out.ndim == 0 else out
 
 
-Kernel = ExponentialKernel | DeltaKernel | SampledKernel
+Kernel = ExponentialKernel | SampledKernel
 
 
 @dataclass(frozen=True)
@@ -169,14 +147,8 @@ def solve_volterra(
     the generic O(steps^2).
 
     Raises:
-        UnsupportedKernelError: for a delta kernel.
         NumericalBlowupError: if the solution becomes non-finite.
     """
-    if isinstance(kernel, DeltaKernel):
-        raise UnsupportedKernelError(
-            "delta kernel has no time-domain quadrature; use the closed-form "
-            "white-noise propagator instead"
-        )
     steps = int(steps)
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")

@@ -62,6 +62,12 @@ _BASE_GRID_POINTS = 2000
 _MAX_GRID_POINTS = 2_000_000
 _POINTS_PER_PERIOD = 20
 
+# With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
+# T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell projector.
+_CHOI_PAULI_TENSOR = np.stack(
+    [0.25 * np.kron(linalg.pauli(i), linalg.pauli(i).conj()) for i in range(4)]
+)
+
 
 def xi(nu, params: ModelParams) -> np.ndarray:
     """The four composite-map eigenvalues xi_j(nu); shape (4,) + shape(nu).
@@ -84,34 +90,16 @@ def xi(nu, params: ModelParams) -> np.ndarray:
     )
 
 
-def _apply_linear(m: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-    # The channel extended linearly to arbitrary (non-Hermitian) matrices:
-    # Phi(M) = 1/2 sum_i Lambda_i Tr(sigma_i M) sigma_i with Lambda_0 = 1.
-    lams = (1.0, *profiles)
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(4):
-        sig = linalg.pauli(i)
-        out += 0.5 * lams[i] * np.trace(sig @ m) * sig
-    return out
-
-
 def choi_matrix(params: ModelParams, nu: float) -> np.ndarray:
     """Apply the map to the first factor of the Bell projector.
 
     Returns the 4x4 Hermitian unit-trace matrix whose spectrum decides
     complete positivity; its sorted eigenvalues equal the sorted xi_j(nu).
+    It is built from the profiles and the Pauli tensor alone, never from
+    :func:`xi`, so the two stay independent routes to the same spectrum.
     """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    profiles = telegraph.relaxation_profiles(float(nu), params)
-    basis = np.zeros((2, 2), dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            basis[:] = 0.0
-            basis[i, j] = 1.0
-            out += 0.5 * np.kron(_apply_linear(basis, profiles), basis)
-    return out
+    lams = np.concatenate(([1.0], telegraph.relaxation_profiles(float(nu), params)))
+    return np.tensordot(lams, _CHOI_PAULI_TENSOR, axes=1)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,46 @@ def classify_regime(params: ModelParams) -> tuple[Regime, Regime, Regime]:
     return tuple(out)
 
 
+def _nu_array(nu) -> np.ndarray:
+    nu_arr = np.asarray(nu, dtype=float)
+    if np.any(nu_arr < 0.0):
+        raise ValueError("nu must be >= 0")
+    return nu_arr
+
+
+def _kappa_tau(value) -> float:
+    kt = float(value)
+    if not (math.isfinite(kt) and kt >= 0.0):
+        raise ValueError(f"kappa*tau must be finite and >= 0, got {kt}")
+    return kt
+
+
+def _profile(nu_arr: np.ndarray, kt: float) -> np.ndarray:
+    # The closed form on validated input, shaped like nu_arr (0-d included).
+    musq = (4.0 * kt) ** 2 - 1.0
+    if kt == 0.0:
+        out = np.ones_like(nu_arr)
+    elif abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
+        # Series around the critical point mu = 0:
+        #   Lambda = e^-nu [(1 + nu) - mu^2 nu^2/2 (1 + nu/3) + O(mu^4)]
+        # valid for mu^2 of either sign; truncation error < 1e-10 inside
+        # the window.
+        out = np.exp(-nu_arr) * (
+            (1.0 + nu_arr) - 0.5 * musq * nu_arr**2 * (1.0 + nu_arr / 3.0)
+        )
+    elif musq > 0.0:
+        mu = math.sqrt(musq)
+        out = np.exp(-nu_arr) * (np.cos(mu * nu_arr) + np.sin(mu * nu_arr) / mu)
+    else:
+        # Overdamped: e^-nu (cosh + sinh/mt) recast as a sum of two
+        # decaying exponentials so large nu cannot overflow cosh.
+        mt = math.sqrt(-musq)
+        out = 0.5 * (1.0 + 1.0 / mt) * np.exp(-(1.0 - mt) * nu_arr) + 0.5 * (
+            1.0 - 1.0 / mt
+        ) * np.exp(-(1.0 + mt) * nu_arr)
+    return np.where(nu_arr == 0.0, 1.0, out)
+
+
 def relaxation_profile(nu, kappa_tau: float):
     """The Bloch relaxation profile Lambda(nu) for one component.
 
@@ -137,46 +177,20 @@ def relaxation_profile(nu, kappa_tau: float):
         Lambda(nu), same shape as ``nu``.  Lambda(0) = 1 exactly and
         |Lambda(nu)| <= 1 for all nu >= 0.
     """
-    nu_arr = np.asarray(nu, dtype=float)
-    if np.any(nu_arr < 0.0):
-        raise ValueError("nu must be >= 0")
-    kt = float(kappa_tau)
-    if not (math.isfinite(kt) and kt >= 0.0):
-        raise ValueError(f"kappa*tau must be finite and >= 0, got {kt}")
-
-    if kt == 0.0:
-        out = np.ones_like(nu_arr)
-    elif abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
-        # Series around the critical point mu = 0:
-        #   Lambda = e^-nu [(1 + nu) - mu^2 nu^2/2 (1 + nu/3) + O(mu^4)]
-        # valid for mu^2 of either sign; truncation error < 1e-10 inside
-        # the window.
-        musq = (4.0 * kt) ** 2 - 1.0
-        out = np.exp(-nu_arr) * (
-            (1.0 + nu_arr) - 0.5 * musq * nu_arr**2 * (1.0 + nu_arr / 3.0)
-        )
-    else:
-        musq = (4.0 * kt) ** 2 - 1.0
-        if musq > 0.0:
-            mu = math.sqrt(musq)
-            out = np.exp(-nu_arr) * (np.cos(mu * nu_arr) + np.sin(mu * nu_arr) / mu)
-        else:
-            # Overdamped: e^-nu (cosh + sinh/mt) recast as a sum of two
-            # decaying exponentials so large nu cannot overflow cosh.
-            mt = math.sqrt(-musq)
-            out = 0.5 * (1.0 + 1.0 / mt) * np.exp(-(1.0 - mt) * nu_arr) + 0.5 * (
-                1.0 - 1.0 / mt
-            ) * np.exp(-(1.0 + mt) * nu_arr)
-
-    out = np.where(nu_arr == 0.0, 1.0, out)
+    out = _profile(_nu_array(nu), _kappa_tau(kappa_tau))
     if np.isscalar(nu) or getattr(nu, "ndim", 0) == 0:
         return float(out)
     return out
 
 
 def relaxation_profiles(nu, params: ModelParams) -> np.ndarray:
-    """Stack the three component profiles; shape (3,) + shape(nu)."""
-    return np.stack([relaxation_profile(nu, kt) for kt in params.kappa_taus])
+    """Stack the three component profiles; shape (3,) + shape(nu).
+
+    This is the one place the map (Lambda_1, Lambda_2, Lambda_3) is
+    evaluated; propagation, xi and the Choi matrix all start from it.
+    """
+    nu_arr = _nu_array(nu)
+    return np.stack([_profile(nu_arr, _kappa_tau(kt)) for kt in params.kappa_taus])
 
 
 def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:
@@ -186,8 +200,7 @@ def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:
     Hermiticity are preserved by construction; nu = 0 is the identity map.
     """
     b = linalg.density_to_bloch(rho0)
-    profiles = np.array([relaxation_profile(float(nu), kt) for kt in params.kappa_taus])
-    return linalg.bloch_to_density(profiles * b)
+    return linalg.bloch_to_density(relaxation_profiles(float(nu), params) * b)
 
 
 def propagate_time(rho0, t: float, params: ModelParams) -> np.ndarray:

@@ -152,6 +152,11 @@ class TestMcValidate:
         se_cols = [header.index(f"mc_se{k}") for k in (1, 2, 3)]
         assert np.all(rows[:, se_cols] == 0.0)
 
+    def test_zero_trajectories_usage_error(self, capsys):
+        code, _, err = run(capsys, "mc-validate", "--trajectories", "0")
+        assert code == 2
+        assert "trajectories must be >= 1" in err
+
     def test_single_trajectory_origin_only_grid_passes(self, capsys):
         code, _, _ = run(
             capsys, "mc-validate", "--a1", "0", "--a2", "0", "--a3", "1",

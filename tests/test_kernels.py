@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from rtnqubit import (
-    DeltaKernel,
     ExponentialKernel,
     NumericalBlowupError,
     SampledKernel,
-    UnsupportedKernelError,
     exponential_kernel_poles,
     relaxation_profile,
     solve_volterra,
@@ -90,10 +88,6 @@ class TestKernelTypes:
             SampledKernel(times=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             SampledKernel(times=np.array([0.0]), values=np.array([1.0]))
-
-    def test_delta_validates_strength(self):
-        with pytest.raises(ValueError):
-            DeltaKernel(strength=-1.0)
 
 
 class TestSolveVolterra:
@@ -178,10 +172,6 @@ class TestSolveVolterra:
         a = solve_volterra(ExponentialKernel(tau=tau), lam, t_max, steps)
         b = solve_volterra(sampled, lam, t_max, steps)
         assert np.max(np.abs(a.values - b.values)) < 1e-10
-
-    def test_delta_kernel_unsupported(self):
-        with pytest.raises(UnsupportedKernelError):
-            solve_volterra(DeltaKernel(strength=1.0), -1.0, t_max=1.0, steps=10)
 
     def test_sampled_kernel_must_cover_horizon(self):
         k = SampledKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.4]))

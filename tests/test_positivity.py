@@ -14,7 +14,9 @@ from rtnqubit import (
     is_cp,
     markov_cp_check,
     markov_rates,
+    pauli,
     relaxation_profile,
+    relaxation_profiles,
     scan_horizon,
     sufficient_condition,
     xi,
@@ -31,6 +33,41 @@ def equal_coupling_params(mu, tau=1.0):
     """All three frequencies equal to mu: a_i = sqrt((mu^2+1)/32) / tau."""
     a = math.sqrt((mu * mu + 1.0) / 32.0) / tau
     return ModelParams(a=(a, a, a), tau=tau)
+
+
+def edge_params(rng):
+    """Random parameters with kappa*tau at 0, in the critical window,
+    damped or ringing."""
+    tau = rng.uniform(0.05, 2.0)
+    kind = rng.integers(4)
+    if kind == 0:
+        return ModelParams(a=(0.0, 0.0, 0.0), tau=tau)
+    if kind == 1:
+        kt = 0.25 + rng.uniform(-2e-7, 2e-7)
+        return ModelParams(a=(0.0, 0.0, kt / tau), tau=tau)
+    scale = 0.1 if kind == 2 else 3.0
+    return ModelParams(a=tuple(rng.uniform(0.0, scale, 3) / tau), tau=tau)
+
+
+def choi_reference(params, nu):
+    """The Choi matrix from Pauli traces of the map on each matrix unit.
+
+    Phi(M) = 1/2 sum_i Lambda_i Tr(sigma_i M) sigma_i with Lambda_0 = 1,
+    applied to the first factor of the Bell projector
+    1/2 sum_ij E_ij (x) E_ij.
+    """
+    lams = (1.0, *relaxation_profiles(float(nu), params))
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            basis = np.zeros((2, 2), dtype=complex)
+            basis[i, j] = 1.0
+            image = np.zeros((2, 2), dtype=complex)
+            for k in range(4):
+                sig = pauli(k)
+                image += 0.5 * lams[k] * np.trace(sig @ basis) * sig
+            out += 0.5 * np.kron(image, basis)
+    return out
 
 
 class TestXi:
@@ -90,8 +127,18 @@ class TestChoiMatrix:
             assert np.max(np.abs(c - c.conj().T)) < 1e-14
 
     def test_rejects_negative_nu(self):
-        with pytest.raises(ValueError):
-            choi_matrix(random_params(RNG), -1.0)
+        p = random_params(RNG)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            choi_matrix(p, -1.0)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            xi(-1.0, p)
+
+    def test_equals_pauli_trace_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            p = edge_params(rng)
+            nu = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 8.0)
+            assert np.array_equal(choi_matrix(p, nu), choi_reference(p, nu))
 
 
 class TestIsCp:

@@ -17,6 +17,7 @@ from rtnqubit import (
     propagate,
     propagate_time,
     relaxation_profile,
+    relaxation_profiles,
     solve_volterra,
 )
 
@@ -25,6 +26,17 @@ RNG = np.random.default_rng(2024)
 
 def random_params(rng, scale=3.0):
     return ModelParams(a=tuple(rng.uniform(0.0, scale, 3)), tau=rng.uniform(0.1, 2.0))
+
+
+def edge_params():
+    """Parameters whose kappa*tau values hit 0, the critical window around
+    1/4 (both sides and the centre), a damped and a ringing profile."""
+    out = [
+        ModelParams(a=(0.0, 0.0, kt), tau=1.0)  # kappa taus (kt, kt, 0)
+        for kt in (0.25 - 1e-7, 0.25, 0.25 + 1e-7, 0.1, 1.3)
+    ]
+    out.append(ModelParams(a=(0.3, 0.05, 1.1), tau=0.9))
+    return out
 
 
 def random_state(rng):
@@ -194,6 +206,18 @@ class TestRelaxationProfile:
     def test_rejects_negative_nu(self):
         with pytest.raises(ValueError):
             relaxation_profile(-0.1, 1.0)
+        p = ModelParams(a=(0.4, 0.3, 1.2), tau=0.7)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            relaxation_profiles(np.array([0.0, -0.1]), p)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            propagate(bloch_to_density([0.6, 0.0, 0.0]), -0.1, p)
+
+    def test_profiles_stack_component_profiles(self):
+        nus = [0.0, 0.37, 5.0, np.linspace(0.0, 12.0, 97)]
+        for p in edge_params():
+            for nu in nus:
+                stacked = np.stack([relaxation_profile(nu, kt) for kt in p.kappa_taus])
+                assert np.array_equal(relaxation_profiles(nu, p), stacked)
 
     def test_matches_volterra_across_regimes(self):
         # closed form vs quadrature to 1e-6 over nu in [0, 10]
@@ -260,6 +284,15 @@ class TestPropagate:
         profile = relaxation_profile(nus, kt)
         gap = np.abs(np.outer(profile, profile) - relaxation_profile(nus[:, None] + nus[None, :], kt))
         assert np.max(gap) > 0.01
+
+    def test_scales_bloch_by_component_profiles(self):
+        rng = np.random.default_rng(31)
+        for p in edge_params() + [random_params(rng) for _ in range(20)]:
+            rho = random_state(rng)
+            for nu in (0.0, rng.uniform(0.0, 8.0)):
+                lams = np.array([relaxation_profile(nu, kt) for kt in p.kappa_taus])
+                expected = bloch_to_density(lams * density_to_bloch(rho))
+                assert np.array_equal(propagate(rho, nu, p), expected)
 
     def test_physical_time_wrapper(self):
         p = random_params(RNG)
