@@ -9,8 +9,10 @@ configuration (including the seed).
 Exit codes: 0 success, 1 computational verdict failure (where a command
 defines one), 2 usage or configuration error.
 
-Options may come from a flat ``key=value`` config file (``--config``);
-command-line flags override file values.
+Options may come from a flat ``key=value`` config file (``--config``).
+Its keys are the long flag names (``-`` or ``_``), its values parse as the
+flags do, command-line flags override file values, and keys that only
+other commands take are ignored.
 """
 
 from __future__ import annotations
@@ -34,48 +36,50 @@ class UsageError(Exception):
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in str(text).split(",")]
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"could not parse {text!r} as numbers") from exc
+        raise argparse.ArgumentTypeError(f"could not parse {text!r} as numbers") from exc
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p.strip()) for p in str(text).split(",") if p.strip())
+        return tuple(float(p.strip()) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise UsageError(f"could not parse {text!r} as a number list") from exc
+        raise argparse.ArgumentTypeError(f"could not parse {text!r} as a number list") from exc
 
 
 def _parse_format(text: str) -> str:
-    text = str(text).strip().lower()
+    text = text.strip().lower()
     if text not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {text!r}")
+        raise argparse.ArgumentTypeError(f"format must be 'csv' or 'json', got {text!r}")
     return text
 
 
-_KEY_PARSERS = {
-    "a1": float,
-    "a2": float,
-    "a3": float,
-    "tau": float,
-    "nu_max": float,
-    "steps": int,
-    "trajectories": int,
-    "seed": int,
-    "direction": _parse_triple,
-    "bloch": _parse_triple,
-    "t_max": float,
-    "tau_ladder": _parse_float_list,
-    "tol": float,
-    "format": _parse_format,
-    "out": str,
+# Every option, as flag and as config key: its type and its help.
+_OPTIONS = {
+    "a1": (float, "coupling along sigma_1"),
+    "a2": (float, "coupling along sigma_2"),
+    "a3": (float, "coupling along sigma_3"),
+    "tau": (float, "flip timescale (> 0)"),
+    "seed": (int, "random seed"),
+    "format": (_parse_format, "output format: csv or json"),
+    "out": (str, "write the table to this path instead of stdout"),
+    "nu_max": (float, "grid endpoint in nu (cp-scan: overrides the scan horizon)"),
+    "steps": (int, "number of grid intervals (volterra-check: quadrature steps)"),
+    "trajectories": (int, "ensemble size N"),
+    "bloch": (_parse_triple, "initial Bloch vector bx,by,bz"),
+    "direction": (_parse_triple, "coupling direction d1,d2,d3"),
+    "t_max": (float, "physical-time grid endpoint"),
+    "tau_ladder": (_parse_float_list, "comma-separated tau values"),
+    "tol": (float, "max deviation tolerated for exit code 0"),
 }
 
-_COMMON_DEFAULTS = {
+# The options every command takes, with their defaults.
+_SHARED = {
     "a1": 1.0,
     "a2": 1.0,
     "a3": 0.0,
@@ -85,18 +89,26 @@ _COMMON_DEFAULTS = {
     "out": None,
 }
 
-_COMMAND_DEFAULTS = {
-    "evolve": {"nu_max": 5.0, "steps": 200, "bloch": (1.0, 0.0, 0.0)},
-    "cp-scan": {"nu_max": None, "steps": 400},
-    "critical": {"direction": None},
-    "mc-validate": {
-        "nu_max": 3.0,
-        "steps": 50,
-        "trajectories": 2000,
-        "bloch": (1.0 / math.sqrt(3.0),) * 3,
-    },
-    "markov-compare": {"t_max": 5.0, "steps": 100, "tau_ladder": None},
-    "volterra-check": {"nu_max": 10.0, "steps": 10000, "tol": 1e-5},
+# Each command: its help, and its own options with their defaults.
+_COMMANDS = {
+    "evolve": (
+        "Bloch components and profiles over nu",
+        {"nu_max": 5.0, "steps": 200, "bloch": (1.0, 0.0, 0.0)},
+    ),
+    "cp-scan": ("xi curves plus a CP verdict", {"nu_max": None, "steps": 400}),
+    "critical": ("CP boundary along a coupling direction", {"direction": None}),
+    "mc-validate": (
+        "Monte Carlo vs analytic profiles",
+        {"nu_max": 3.0, "steps": 50, "trajectories": 2000, "bloch": (1.0 / math.sqrt(3.0),) * 3},
+    ),
+    "markov-compare": (
+        "colored-noise profile vs white-noise limit down a tau ladder",
+        {"t_max": 5.0, "steps": 100, "tau_ladder": None},
+    ),
+    "volterra-check": (
+        "quadrature solution vs closed-form profiles",
+        {"nu_max": 10.0, "steps": 10000, "tol": 1e-5},
+    ),
 }
 
 
@@ -114,35 +126,26 @@ def _load_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KEY_PARSERS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _KEY_PARSERS[key](value.strip())
-        except (ValueError, UsageError) as exc:
+            out[key] = _OPTIONS[key][0](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
-def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_COMMAND_DEFAULTS[command])
-    if args.config:
-        file_cfg = _load_config(args.config)
-        cfg.update({k: v for k, v in file_cfg.items() if k in cfg or k in _KEY_PARSERS})
-    for key in _KEY_PARSERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = _KEY_PARSERS[key](flag) if isinstance(flag, str) else flag
-    if cfg.get("seed") is not None and cfg["seed"] < 0:
+def _effective_config(args: argparse.Namespace) -> dict:
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    if cfg["seed"] < 0:
         raise UsageError("seed must be >= 0")
-    if cfg.get("steps") is not None and cfg["steps"] < 1:
-        raise UsageError("steps must be >= 1")
-    if cfg.get("trajectories") is not None and cfg["trajectories"] < 1:
-        raise UsageError("trajectories must be >= 1")
-    if cfg.get("nu_max") is not None and cfg["nu_max"] < 0.0:
+    for key in ("steps", "trajectories"):
+        if cfg.get(key, 1) < 1:
+            raise UsageError(f"{key} must be >= 1")
+    if (cfg.get("nu_max") or 0.0) < 0.0:
         raise UsageError("nu-max must be >= 0")
     for key in ("t_max", "tol"):
-        if cfg.get(key) is not None and cfg[key] <= 0.0:
+        if cfg.get(key, 1.0) <= 0.0:
             raise UsageError(f"{key.replace('_', '-')} must be > 0")
     return cfg
 
@@ -157,7 +160,7 @@ def _model_params(cfg: dict) -> ModelParams:
 def _bloch_vector(cfg: dict) -> np.ndarray:
     b = np.asarray(cfg["bloch"], dtype=float)
     if np.linalg.norm(b) > 1.0 + linalg.BLOCH_NORM_TOL:
-        raise UsageError(f"initial Bloch vector {tuple(b)} lies outside the sphere")
+        raise UsageError(f"initial Bloch vector {cfg['bloch']} lies outside the sphere")
     return b
 
 
@@ -211,18 +214,7 @@ def _cmd_evolve(cfg: dict) -> int:
     b0 = _bloch_vector(cfg)
     grid = np.linspace(0.0, cfg["nu_max"], cfg["steps"] + 1)
     profiles = telegraph.relaxation_profiles(grid, params)
-    rows = [
-        [
-            float(nu),
-            float(profiles[0, i] * b0[0]),
-            float(profiles[1, i] * b0[1]),
-            float(profiles[2, i] * b0[2]),
-            float(profiles[0, i]),
-            float(profiles[1, i]),
-            float(profiles[2, i]),
-        ]
-        for i, nu in enumerate(grid)
-    ]
+    rows = np.column_stack([grid, (profiles * b0[:, None]).T, profiles.T]).tolist()
     columns = ["nu", "b1", "b2", "b3", "lambda1", "lambda2", "lambda3"]
     _emit(cfg, _meta("evolve", cfg), columns, rows)
     return 0
@@ -235,10 +227,7 @@ def _cmd_cp_scan(cfg: dict) -> int:
     verdict = positivity.is_cp(params, nu_max=cfg["nu_max"])
     grid = np.linspace(0.0, verdict.horizon, cfg["steps"] + 1)
     table = positivity.xi(grid, params)
-    rows = [
-        [float(nu)] + [float(table[j, i]) for j in range(4)]
-        for i, nu in enumerate(grid)
-    ]
+    rows = np.column_stack([grid, table.T]).tolist()
     if verdict.is_cp:
         line = f"verdict: completely positive (scan horizon nu = {verdict.horizon:.6g})"
         witness = None
@@ -313,14 +302,7 @@ def _cmd_mc_validate(cfg: dict) -> int:
     fraction = float(np.mean(ok))
     passed = fraction >= 0.95
 
-    rows = []
-    for i, nu in enumerate(grid):
-        row = [float(nu)]
-        row += [float(analytic[k, i]) for k in range(3)]
-        row += [float(mean[i, k]) for k in range(3)]
-        row += [float(stderr[i, k]) for k in range(3)]
-        row += [float(z[k, i]) for k in range(3)]
-        rows.append(row)
+    rows = np.column_stack([grid, analytic.T, mean, stderr, z.T]).tolist()
     columns = (
         ["nu"]
         + [f"analytic_b{k}" for k in (1, 2, 3)]
@@ -357,17 +339,8 @@ def _cmd_markov_compare(cfg: dict) -> int:
     for tau_k in ladder:
         a_k = math.sqrt(diffusion / (2.0 * tau_k))
         colored = telegraph.relaxation_profile(t / (2.0 * tau_k), a_k * tau_k)
-        for i, t_i in enumerate(t):
-            rows.append(
-                [
-                    float(tau_k),
-                    float(t_i),
-                    float(colored[i]),
-                    float(markov[i]),
-                    float(abs(colored[i] - markov[i])),
-                    float(gamma),
-                ]
-            )
+        rung, diff = np.full_like(t, tau_k), np.abs(colored - markov)
+        rows += np.column_stack([rung, t, colored, markov, diff, np.full_like(t, gamma)]).tolist()
     columns = ["tau", "t", "lambda_colored", "lambda_markov", "abs_diff", "gamma"]
     _emit(cfg, _meta("markov-compare", cfg), columns, rows)
     return 0
@@ -410,15 +383,16 @@ _DISPATCH = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    for key, default in defaults.items():
+        kind, text = _OPTIONS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command name."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--a1", type=float, help="coupling along sigma_1")
-    common.add_argument("--a2", type=float, help="coupling along sigma_2")
-    common.add_argument("--a3", type=float, help="coupling along sigma_3")
-    common.add_argument("--tau", type=float, help="flip timescale (> 0)")
-    common.add_argument("--seed", type=int, help="random seed")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--out", help="write the table to this path instead of stdout")
+    _add_options(common, _SHARED)
     common.add_argument("--config", help="flat key=value config file; flags override")
 
     parser = argparse.ArgumentParser(
@@ -427,53 +401,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "under random telegraph noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", parents=[common], help="Bloch components and profiles over nu")
-    p.add_argument("--nu-max", dest="nu_max", type=float, help="grid endpoint")
-    p.add_argument("--steps", type=int, help="number of grid intervals")
-    p.add_argument("--bloch", help="initial Bloch vector bx,by,bz")
-
-    p = sub.add_parser("cp-scan", parents=[common], help="xi curves plus a CP verdict")
-    p.add_argument("--nu-max", dest="nu_max", type=float, help="override the scan horizon")
-    p.add_argument("--steps", type=int, help="number of output grid intervals")
-
-    p = sub.add_parser("critical", parents=[common], help="CP boundary along a coupling direction")
-    p.add_argument("--direction", help="coupling direction d1,d2,d3")
-
-    p = sub.add_parser("mc-validate", parents=[common], help="Monte Carlo vs analytic profiles")
-    p.add_argument("--nu-max", dest="nu_max", type=float, help="grid endpoint")
-    p.add_argument("--steps", type=int, help="number of grid intervals")
-    p.add_argument("--trajectories", type=int, help="ensemble size N")
-    p.add_argument("--bloch", help="initial Bloch vector bx,by,bz")
-
-    p = sub.add_parser(
-        "markov-compare", parents=[common],
-        help="colored-noise profile vs white-noise limit down a tau ladder",
-    )
-    p.add_argument("--t-max", dest="t_max", type=float, help="physical-time grid endpoint")
-    p.add_argument("--steps", type=int, help="number of grid intervals")
-    p.add_argument("--tau-ladder", dest="tau_ladder", help="comma-separated tau values")
-
-    p = sub.add_parser(
-        "volterra-check", parents=[common],
-        help="quadrature solution vs closed-form profiles",
-    )
-    p.add_argument("--nu-max", dest="nu_max", type=float, help="comparison horizon in nu")
-    p.add_argument("--steps", type=int, help="quadrature steps")
-    p.add_argument("--tol", type=float, help="max deviation tolerated for exit code 0")
-
-    return parser
+    for command, (text, defaults) in _COMMANDS.items():
+        _add_options(sub.add_parser(command, parents=[common], help=text), defaults)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # file values become the command's defaults, so flags still win;
+            # keys that only other commands take are ignored
+            values = _load_config(args.config)
+            subparsers[args.command].set_defaults(
+                **{k: v for k, v in values.items() if hasattr(args, k)}
+            )
+            args = parser.parse_args(argv)
+        return _DISPATCH[args.command](_effective_config(args))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _effective_config(args.command, args)
-        return _DISPATCH[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

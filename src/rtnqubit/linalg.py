@@ -81,11 +81,12 @@ def bloch_to_density(b) -> np.ndarray:
 
 
 def density_to_bloch(rho) -> np.ndarray:
-    """Bloch components b_i = Tr(sigma_i rho) of a density matrix."""
+    """Bloch components b_i = Tr(sigma_i rho) of a density matrix, in closed form."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise NotAStateError(f"density matrix must have shape (2, 2), got {rho.shape}")
-    return np.array([np.trace(_PAULI[i] @ rho).real for i in (1, 2, 3)])
+    (r00, r01), (r10, r11) = rho.tolist()
+    return np.array([(r01 + r10).real, (1j * (r01 - r10)).real, (r00 - r11).real])
 
 
 def hermitian_eigenvalues(matrix, atol: float = HERMITICITY_TOL) -> np.ndarray:

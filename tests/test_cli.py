@@ -52,6 +52,8 @@ class TestEvolve:
     def test_rejects_bloch_outside_sphere(self, capsys):
         code, _, err = run(capsys, "evolve", "--bloch", "1,1,1")
         assert code == 2
+        assert "initial Bloch vector (1.0, 1.0, 1.0) lies outside the sphere" in err
+        assert "np.float64" not in err
 
 
 class TestCpScan:
@@ -246,15 +248,28 @@ class TestConfigAndOutput:
 
     def test_malformed_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just some text\n")
-        code, _, _ = run(capsys, "evolve", "--config", str(cfg))
-        assert code == 2
+        for text, message in (
+            ("just some text\n", "expected key=value"),
+            ("steps=x\n", "bad value for steps"),
+            ("bloch=1,2\n", "bad value for bloch"),
+        ):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "evolve", "--config", str(cfg))
+            assert code == 2
+            assert message in err
 
     def test_comments_and_blanks_ignored(self, capsys, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# model\n\na3=1.0\na1=0\na2=0\n")
         code, _, _ = run(capsys, "evolve", "--config", str(cfg))
         assert code == 0
+        # a key that only another command takes is ignored, not echoed
+        cfg.write_text("# model\n\na3=1.0\ntrajectories=7\n")
+        code, out, _ = run(capsys, "evolve", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        config = json.loads(out)["meta"]["config"]
+        assert config["a3"] == 1.0
+        assert "trajectories" not in config
 
     def test_out_writes_file_and_verdict_to_stdout(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
@@ -277,13 +292,39 @@ class TestConfigAndOutput:
         _, out, _ = run(capsys, "evolve", "--steps", "2")
         assert out.endswith("\n")
 
-    def test_json_top_level_shape(self, capsys):
-        _, out, _ = run(capsys, "evolve", "--steps", "2", "--format", "json")
-        payload = json.loads(out)
-        assert set(payload) == {"meta", "rows"}
-        assert payload["meta"]["command"] == "evolve"
-        assert payload["meta"]["columns"][0] == "nu"
-        assert len(payload["rows"]) == 3
+    def test_json_top_level_shape(self, capsys, tmp_path):
+        cfg = tmp_path / "json.cfg"
+        cfg.write_text("format=JSON\n")
+        for argv in (("--format", "json"), ("--config", str(cfg))):
+            _, out, _ = run(capsys, "evolve", "--steps", "2", *argv)
+            payload = json.loads(out)
+            assert set(payload) == {"meta", "rows"}
+            assert payload["meta"]["command"] == "evolve"
+            assert payload["meta"]["columns"][0] == "nu"
+            assert len(payload["rows"]) == 3
+
+    # meta.config at each command's defaults: the shared options plus its own
+    SHARED = {"a1": 1.0, "a2": 1.0, "a3": 0.0, "format": "json", "seed": 20260809, "tau": 1.0}
+    OWN = {
+        "evolve": {"bloch": [1.0, 0.0, 0.0], "nu_max": 5.0, "steps": 200},
+        "cp-scan": {"steps": 400},
+        "critical": {"direction": [1.0, 1.0, 0.0]},
+        "mc-validate": {
+            "bloch": [0.5773502691896258] * 3,
+            "nu_max": 3.0,
+            "steps": 50,
+            "trajectories": 2,
+        },
+        "markov-compare": {"steps": 100, "t_max": 5.0},
+        "volterra-check": {"nu_max": 10.0, "steps": 10000, "tol": 1e-5},
+    }
+
+    @pytest.mark.parametrize("command", list(OWN))
+    def test_json_meta_config_at_defaults(self, capsys, command):
+        extra = {"critical": ["--direction", "1,1,0"], "mc-validate": ["--trajectories", "2"]}
+        _, out, _ = run(capsys, command, *extra.get(command, []), "--format", "json")
+        config = json.loads(out)["meta"]["config"]
+        assert list(config.items()) == sorted({**self.SHARED, **self.OWN[command]}.items())
 
     def test_unknown_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "evolve", "--frobnicate", "1")

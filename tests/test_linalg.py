@@ -25,6 +25,11 @@ def random_hermitian(rng, n):
     return m + m.conj().T
 
 
+def bloch_reference(rho):
+    """Bloch components as the Pauli traces Tr(sigma_i rho)."""
+    return np.array([np.trace(pauli(i) @ rho).real for i in (1, 2, 3)])
+
+
 class TestPauli:
     def test_identity(self):
         assert np.array_equal(pauli(0), np.eye(2))
@@ -108,6 +113,19 @@ class TestBlochConversion:
             b = random_bloch(RNG)
             out = density_to_bloch(bloch_to_density(b))
             assert np.linalg.norm(out) <= 1.0 + 1e-12
+
+    def test_equals_pauli_trace_reference(self):
+        rng = np.random.default_rng(2718)
+        edges = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+        cases = [
+            bloch_to_density(b)
+            for b in np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T
+            if np.linalg.norm(b) <= 1.0
+        ]
+        cases += [bloch_to_density(random_bloch(rng)) for _ in range(2000)]
+        cases += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2000)]
+        for rho in cases:
+            assert np.array_equal(density_to_bloch(rho), bloch_reference(rho))
 
     def test_exact_trace_and_hermiticity(self):
         for _ in range(100):
