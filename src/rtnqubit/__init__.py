@@ -1,13 +1,13 @@
 """Qubit dynamics under random telegraph noise.
 
-A small numpy/scipy toolkit for a single qubit coupled to two-state
-(telegraph) noise along the three Pauli axes:
+A small numpy toolkit for a single qubit coupled to two-state (telegraph)
+noise along the three Pauli axes:
 
 * closed-form Bloch relaxation profiles of the resulting exponential
   memory-kernel master equation (:mod:`rtnqubit.telegraph`);
 * a generic scalar Volterra quadrature and Laplace-pole analysis for
   memory kernels (:mod:`rtnqubit.kernels`);
-* complete-positivity certification via composite-map eigenvalues, with
+* complete-positivity decision via composite-map eigenvalues, with
   phase-boundary search (:mod:`rtnqubit.positivity`);
 * Kraus representations and the dephasing channel
   (:mod:`rtnqubit.channels`);
@@ -15,7 +15,8 @@ A small numpy/scipy toolkit for a single qubit coupled to two-state
   (:mod:`rtnqubit.montecarlo`);
 * a batch CLI emitting CSV/JSON tables (:mod:`rtnqubit.cli`).
 
-All library functions are pure and operate on immutable inputs.
+All library functions are pure and operate on immutable inputs.  The
+package needs only numpy; only the test suite needs scipy.
 """
 
 from .channels import (

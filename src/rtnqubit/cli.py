@@ -18,6 +18,7 @@ other commands take are ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,11 +143,12 @@ def _effective_config(args: argparse.Namespace) -> dict:
     for key in ("steps", "trajectories"):
         if cfg.get(key, 1) < 1:
             raise UsageError(f"{key} must be >= 1")
-    if (cfg.get("nu_max") or 0.0) < 0.0:
-        raise UsageError("nu-max must be >= 0")
+    # written so that NaN fails every range check
+    if not 0.0 <= (cfg.get("nu_max") or 0.0) < math.inf:
+        raise UsageError("nu-max must be finite and >= 0")
     for key in ("t_max", "tol"):
-        if cfg.get(key, 1.0) <= 0.0:
-            raise UsageError(f"{key.replace('_', '-')} must be > 0")
+        if not 0.0 < cfg.get(key, 1.0) < math.inf:
+            raise UsageError(f"{key.replace('_', '-')} must be finite and > 0")
     return cfg
 
 
@@ -159,7 +161,7 @@ def _model_params(cfg: dict) -> ModelParams:
 
 def _bloch_vector(cfg: dict) -> np.ndarray:
     b = np.asarray(cfg["bloch"], dtype=float)
-    if np.linalg.norm(b) > 1.0 + linalg.BLOCH_NORM_TOL:
+    if not np.linalg.norm(b) <= 1.0 + linalg.BLOCH_NORM_TOL:
         raise UsageError(f"initial Bloch vector {cfg['bloch']} lies outside the sphere")
     return b
 
@@ -326,11 +328,11 @@ def _cmd_markov_compare(cfg: dict) -> int:
     if not (a > 0.0 and math.isfinite(a)):
         raise UsageError("markov-compare needs a positive coupling --a1")
     tau0 = cfg["tau"]
-    if tau0 <= 0.0:
-        raise UsageError("tau must be > 0")
+    if not 0.0 < tau0 < math.inf:
+        raise UsageError("tau must be finite and > 0")
     ladder = cfg["tau_ladder"] or (tau0, tau0 / 10.0, tau0 / 100.0)
-    if any(t <= 0.0 for t in ladder):
-        raise UsageError("tau ladder values must be > 0")
+    if not all(0.0 < t < math.inf for t in ladder):
+        raise UsageError("tau ladder values must be finite and > 0")
     diffusion = 2.0 * a * a * tau0
     gamma = 2.0 * diffusion  # = 4 kappa^2 tau at every rung
     t = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
@@ -389,8 +391,9 @@ def _add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
         parser.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subparsers by command name."""
+    """The parser and its subparsers by command name, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     _add_options(common, _SHARED)
     common.add_argument("--config", help="flat key=value config file; flags override")
@@ -407,17 +410,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # file values become the command's defaults, so flags still win;
-            # keys that only other commands take are ignored
-            values = _load_config(args.config)
-            subparsers[args.command].set_defaults(
-                **{k: v for k, v in values.items() if hasattr(args, k)}
+            # file values fill the namespace before the command's flags are
+            # parsed into it, so flags win and the shared parser is never
+            # changed; keys that only other commands take are ignored
+            values = {k: v for k, v in _load_config(args.config).items() if hasattr(args, k)}
+            args = subparsers[args.command].parse_args(
+                argv[argv.index(args.command) + 1 :],
+                argparse.Namespace(command=args.command, **values),
             )
-            args = parser.parse_args(argv)
         return _DISPATCH[args.command](_effective_config(args))
     except SystemExit as exc:
         return int(exc.code or 0)

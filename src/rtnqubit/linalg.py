@@ -59,15 +59,15 @@ def bloch_to_density(b) -> np.ndarray:
     """Build the density matrix (I + b . sigma) / 2 from a Bloch vector.
 
     Raises:
-        NotAStateError: if ||b|| exceeds 1 beyond tolerance, i.e. the point
-            lies outside the Bloch sphere.
+        NotAStateError: if ||b|| exceeds 1 beyond tolerance or is NaN, i.e.
+            the point does not lie in the Bloch ball.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise NotAStateError(f"Bloch vector must have shape (3,), got {b.shape}")
     norm = float(np.linalg.norm(b))
-    if norm > 1.0 + BLOCH_NORM_TOL:
-        raise NotAStateError(f"Bloch vector has norm {norm:.17g} > 1")
+    if not norm <= 1.0 + BLOCH_NORM_TOL:  # NaN fails too
+        raise NotAStateError(f"Bloch vector norm must be <= 1, got {norm:.17g}")
     bx, by, bz = (float(c) for c in b)
     # Diagonal written as 0.5 +/- bz/2 keeps the trace exactly 1.0, and the
     # explicit conjugate off-diagonal keeps the matrix exactly Hermitian.

@@ -326,6 +326,37 @@ class TestConfigAndOutput:
         config = json.loads(out)["meta"]["config"]
         assert list(config.items()) == sorted({**self.SHARED, **self.OWN[command]}.items())
 
+    def test_config_applies_to_its_call_only(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=7\na1=0.3\n")
+        code, out, _ = run(capsys, "evolve", "--config", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[1].shape[0] == 8
+        code, out, _ = run(capsys, "evolve", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 201
+        assert payload["meta"]["config"]["a1"] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cp-scan", "--nu-max", "nan"], "nu-max must be finite and >= 0"),
+            (["evolve", "--nu-max", "inf"], "nu-max must be finite and >= 0"),
+            (["evolve", "--bloch", "nan,0,0"], "lies outside the sphere"),
+            (["markov-compare", "--t-max", "nan"], "t-max must be finite and > 0"),
+            (["markov-compare", "--tau-ladder", "nan"], "tau ladder values must be finite"),
+            (["volterra-check", "--tol", "nan"], "tol must be finite and > 0"),
+            (["critical", "--direction", "1,1,0", "--tau", "0"], "flip timescale must be finite"),
+            (["critical", "--direction", "1,1,0", "--tau", "nan"], "flip timescale must be finite"),
+        ],
+    )
+    def test_non_finite_values_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_unknown_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "evolve", "--frobnicate", "1")
         assert code == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,11 @@ class TestBlochConversion:
     def test_outside_sphere_rejected(self):
         with pytest.raises(NotAStateError):
             bloch_to_density([0.8, 0.8, 0.8])
+
+    @pytest.mark.parametrize("b", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+    def test_non_finite_rejected(self, b):
+        with pytest.raises(NotAStateError, match="norm must be <= 1"):
+            bloch_to_density(b)
 
     def test_boundary_tolerance(self):
         bloch_to_density([1.0, 0.0, 0.0])  # exactly on the sphere is fine

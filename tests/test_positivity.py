@@ -21,6 +21,7 @@ from rtnqubit import (
     sufficient_condition,
     xi,
 )
+from rtnqubit import positivity
 
 RNG = np.random.default_rng(99)
 
@@ -194,8 +195,54 @@ class TestIsCp:
             brute = float(xi(nus, p).min())
             assert verdict.is_cp == (brute >= -1e-7), (p, verdict, brute)
 
+    def test_dip_between_grid_points_found(self):
+        # both grid neighbours of this dip sit above 1e-6; the Choi matrix
+        # confirms the violation independently of xi
+        p = ModelParams(a=(17.6565, 0.04 * 17.6565, 0.0), tau=1.0)
+        verdict = is_cp(p)
+        assert not verdict.is_cp
+        w = verdict.witness
+        assert w.index == 4
+        assert w.value == pytest.approx(-8.9166e-6, abs=1e-9)
+        assert w.nu == pytest.approx(0.93403, abs=1e-5)
+        assert float(hermitian_eigenvalues(choi_matrix(p, w.nu))[0]) == pytest.approx(
+            w.value, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("nu_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive_horizon(self, nu_max):
+        with pytest.raises(ValueError, match="scan horizon must be finite and > 0"):
+            is_cp(ModelParams(a=(1.2, 1.2, 0.0), tau=1.0), nu_max=nu_max)
+
+
+class TestDipBound:
+    """The two facts the scan rests on."""
+
+    @pytest.mark.parametrize(
+        "kt", [0.0, 0.01, 0.1, 0.25 - 1e-7, 0.25, 0.25 + 1e-7, 1.0, 50.0, 1000.0]
+    )
+    def test_profile_curvature_bound(self, kt):
+        # Lambda' = -16 kt^2 int_0^nu exp(-2 (nu - s)) Lambda ds with
+        # |Lambda| <= 1 gives |Lambda''| <= 32 kt^2; a second difference
+        # equals Lambda'' somewhere in its stencil (measured max ratio 0.50)
+        h = min(1e-3, 0.05 / (4.0 * kt + 1.0))
+        lam = relaxation_profile(np.arange(0.0, 12.0 + h, h), kt)
+        second = (lam[2:] - 2.0 * lam[1:-1] + lam[:-2]) / (h * h)
+        assert np.all(np.abs(second) <= 32.0 * kt * kt)
+
+    def test_critical_crossing_constant(self):
+        v = positivity._CRITICAL_CROSSING
+        assert v > 0.0
+        assert abs((1.0 + v) * math.exp(-v) - 1.0 / 3.0) <= 1e-12
+
 
 class TestCriticalFlipParameter:
+    def test_boundary_with_weak_second_axis(self):
+        # the boundary's violating dip falls between grid points
+        assert critical_flip_parameter((1.0, 0.04, 0.0), 1.0) == pytest.approx(
+            17.65596, abs=1e-3
+        )
+
     def test_two_axis_boundary(self):
         boundary = critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
         assert boundary == pytest.approx(0.8, abs=0.05)
@@ -211,6 +258,11 @@ class TestCriticalFlipParameter:
     def test_degenerate_direction_rejected(self):
         with pytest.raises(ValueError):
             critical_flip_parameter((0.0, 0.0, 0.0), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="flip timescale must be finite and > 0"):
+            critical_flip_parameter((1.0, 1.0, 0.0), tau=tau)
 
     def test_equal_coupling_boundary_respects_sufficient_bound(self):
         # sufficiency says the boundary cannot sit below the frequency bound
