@@ -73,7 +73,7 @@ class KrausSet:
         kept_i = []
         for w, idx in zip(weights, basis_indices):
             w = float(w)
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError(f"Kraus weight must be >= 0, got {w}")
             if w == 0.0:
                 continue

@@ -55,10 +55,12 @@ class TelegraphPath:
     t_max: float
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.tau < math.inf and 0.0 < self.t_max < math.inf):
+            raise ValueError("tau and t_max must be finite and > 0")
         flips = np.asarray(self.flip_times, dtype=float)
-        if flips.ndim != 1 or np.any(np.diff(flips) <= 0.0):
+        if flips.ndim != 1 or not np.all(np.diff(flips) > 0.0):
             raise ValueError("flip times must be a strictly increasing 1-d array")
-        if flips.size and (flips[0] < 0.0 or flips[-1] > self.t_max):
+        if flips.size and not (flips[0] >= 0.0 and flips[-1] <= self.t_max):
             raise ValueError("flip times must lie inside [0, t_max]")
         flips.flags.writeable = False
         object.__setattr__(self, "flip_times", flips)
@@ -66,7 +68,7 @@ class TelegraphPath:
     def values(self, times) -> np.ndarray:
         """Signal values at the given times (vectorized)."""
         times = np.asarray(times, dtype=float)
-        if np.any(times < 0.0) or np.any(times > self.t_max):
+        if not np.all((times >= 0.0) & (times <= self.t_max)):
             raise ValueError("requested times outside [0, t_max]")
         counts = np.searchsorted(self.flip_times, times, side="right")
         return np.where(counts % 2 == 0, self.amplitude, -self.amplitude)
@@ -80,8 +82,8 @@ def sample_path(tau: float, a: float, t_max: float, rng: np.random.Generator) ->
     """
     tau = float(tau)
     t_max = float(t_max)
-    if tau <= 0.0 or t_max <= 0.0:
-        raise ValueError("tau and t_max must be > 0")
+    if not (0.0 < tau < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError("tau and t_max must be finite and > 0")
     amplitude = float(a) if rng.integers(0, 2) == 0 else -float(a)
     flips = []
     t = rng.exponential(2.0 * tau)
@@ -139,10 +141,10 @@ def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     if any(p.tau != tau for p in paths):
         raise ValueError("paths must share one flip timescale")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) < 0.0) or grid[0] < 0.0:
+    if grid.ndim != 1 or grid.size == 0 or not (np.all(np.diff(grid) >= 0.0) and grid[0] >= 0.0):
         raise ValueError("grid must be ascending and nonnegative")
     t_grid = (2.0 * tau) * grid
-    if t_grid[-1] > min(p.t_max for p in paths):
+    if not t_grid[-1] <= min(p.t_max for p in paths):
         raise ValueError("grid extends beyond the sampled paths")
 
     amps = [p.amplitude for p in paths]

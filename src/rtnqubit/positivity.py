@@ -19,9 +19,10 @@ decaying envelope, so past a computable horizon all xi_j stay positive.
 Before it, one vectorized pass refines the grid minima.  Since
 Lambda' = -16 (kappa tau)^2 int_0^nu exp(-2 (nu - s)) Lambda(s) ds and
 |Lambda| <= 1, |xi_j''| <= 8 sum_i (kappa_i tau)^2, so no dip deeper than
-sum_i (kappa_i tau)^2 h^2 below a grid minimum hides in its two cells (h the
-wider one); every minimum below that bound is refined.  The bound does not
-yet cover a dip away from a grid minimum, nor the nu = 0 end of the scan.
+sum_i (kappa_i tau)^2 w^2 below a sampled minimum hides in its two cells (w
+the wider one).  Brackets are rescanned only while such a dip, still above
+machine epsilon, could lower the witness.  The bound does not yet cover a
+dip away from a grid minimum, nor the nu = 0 end of the scan.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -64,10 +65,11 @@ MU_STAR_BOUND = math.pi / math.log(3.0)
 _BASE_GRID_POINTS = 2000
 _MAX_GRID_POINTS = 2_000_000
 _POINTS_PER_PERIOD = 20
-# Refinement: points per bracket rescan, rescans, brackets per batch (memory).
+# Refinement: points per bracket rescan, brackets per batch (memory), and the
+# hidden dip at or below which a bracket is lost in the rounding of xi.
 _REFINE_POINTS = 21
-_REFINE_ROUNDS = 12
 _REFINE_BATCH = 4096
+_EPS = float(np.finfo(float).eps)
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
 _CRITICAL_CROSSING = 2.289281414562872
 
@@ -181,11 +183,12 @@ def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
 def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     """Decide complete positivity of the map with parameters ``params``.
 
-    Scans all four xi_j over nu in [0, horizon], then refines in one
-    vectorized pass every interior grid minimum below the dip bound
-    sum_i (kappa_i tau)^2 h^2 (see the module docstring).  The verdict is
-    negative exactly when the worst value found lies below -CP_TOLERANCE;
-    the witness then records that value and the nu it was evaluated at.
+    Scans all four xi_j over nu in [0, horizon], then rescans the two cells
+    around each interior grid minimum, and in turn around each rescan's
+    lowest point, while the dip bound of the module docstring leaves room
+    there for a value below the worst one found.  The verdict is negative
+    exactly when the worst value found lies below -CP_TOLERANCE; the
+    witness then records that value and the nu it was evaluated at.
 
     The default horizon comes from :func:`scan_horizon` and certifies the
     infinite-time statement; passing ``nu_max`` restricts the scan.
@@ -198,29 +201,31 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     j, i = np.unravel_index(np.argmin(table), table.shape)
     worst_val, worst_j, worst_nu = float(table[j, i]), int(j), float(nus[i])
 
-    # Refine every interior grid minimum under the dip bound; each round keeps
-    # the two of a bracket's 20 cells around its lowest point.
+    # Rescan a bracket while its hidden dip could lower the witness.
     dip = float(np.sum(params.kappa_taus**2))
     cells = np.diff(nus)
+    hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
     inner = table[:, 1:-1]
     rows, cols = np.nonzero(
-        (inner < table[:, :-2])
-        & (inner < table[:, 2:])
-        & (inner < dip * np.maximum(cells[:-1], cells[1:]) ** 2)
+        (inner < np.minimum(table[:, :-2], table[:, 2:]))
+        & (inner - hidden < worst_val)
+        & (hidden > _EPS)
     )
     for start in range(0, rows.size, _REFINE_BATCH):
         r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
-        lo, hi, k = nus[c], nus[c + 2], np.arange(r.size)
-        for _ in range(_REFINE_ROUNDS):
-            pts = np.linspace(lo, hi, _REFINE_POINTS, axis=1)
+        lo, hi = nus[c], nus[c + 2]
+        while r.size:
+            pts, k = np.linspace(lo, hi, _REFINE_POINTS, axis=1), np.arange(r.size)
             vals = xi(pts, params)[r, k]
             m = np.argmin(vals, axis=1)
             low = vals[k, m]
-            if low.min() < worst_val:
-                b = int(np.argmin(low))
+            b = int(np.argmin(low))
+            if low[b] < worst_val:
                 worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
-            m = np.clip(m, 1, _REFINE_POINTS - 2)
-            lo, hi = pts[k, m - 1], pts[k, m + 1]
+            hidden = dip * ((hi - lo) / (_REFINE_POINTS - 1)) ** 2
+            keep = np.nonzero((low - hidden < worst_val) & (hidden > _EPS))[0]
+            m = np.clip(m[keep], 1, _REFINE_POINTS - 2)
+            r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
 
     if worst_val < -CP_TOLERANCE:
         return CpVerdict(
@@ -231,17 +236,16 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     return CpVerdict(is_cp=True, witness=None, horizon=horizon)
 
 
-def critical_flip_parameter(
-    shape, tau: float, atol: float = 1e-3
-) -> float | None:
+def critical_flip_parameter(shape, tau: float) -> float | None:
     """Locate the CP boundary along a coupling direction, in units of a*tau.
 
     The direction is rescaled so its largest component is 1; the returned
     value is the boundary coupling times tau for that largest component
-    (so shape (1, 1, 0) reproduces the a*tau ~= 0.8 threshold).  Bisection
-    starts from the bracket a*tau in [0.01, 10] and expands a decade at a
-    time; if the map stays completely positive all the way to a*tau = 1e4
-    there is no boundary and None is returned (dephasing-type directions).
+    (so shape (1, 1, 0) reproduces the a*tau ~= 0.8 threshold), to within
+    1e-3.  Bisection starts from a*tau in [0.01, 10], whose lower end is CP
+    (all profiles are damped there: kappa_i tau <= sqrt(2)/100 < 1/4), and
+    expands the upper end a decade at a time; a map that stays CP up to
+    a*tau = 1e4 (dephasing-type) has no boundary, and None is returned.
     """
     shape = np.asarray(shape, dtype=float)
     if shape.shape != (3,) or not np.all(np.isfinite(shape)) or np.any(shape < 0):
@@ -258,17 +262,13 @@ def critical_flip_parameter(
         return is_cp(ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)).is_cp
 
     lo, hi = 0.01, 10.0
-    while not cp_at(lo):
-        lo /= 10.0
-        if lo < 1e-4:
-            raise ValueError("no completely positive bracket end found")
     while cp_at(hi):
         hi *= 10.0
         if hi > 1e4:
             return None
     if hi > 10.0:
         lo = hi / 10.0
-    while hi - lo > atol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if cp_at(mid):
             lo = mid

@@ -128,8 +128,8 @@ def classify_regime(params: ModelParams) -> tuple[Regime, Regime, Regime]:
 
 def _nu_array(nu) -> np.ndarray:
     nu_arr = np.asarray(nu, dtype=float)
-    if np.any(nu_arr < 0.0):
-        raise ValueError("nu must be >= 0")
+    if not ((nu_arr >= 0.0) & (nu_arr < math.inf)).all():
+        raise ValueError("nu must be >= 0 and finite")
     return nu_arr
 
 

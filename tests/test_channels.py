@@ -85,8 +85,11 @@ class TestKrausConstruction:
             assert ks.completeness_defect() <= 1e-12
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            KrausSet(weights=(-0.1, 1.1), basis_indices=(1, 0))
+        for w in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="Kraus weight must be >= 0"):
+                KrausSet(weights=(w, 1.1), basis_indices=(1, 0))
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            kraus_from_params(ModelParams(a=(0.4, 0.3, 1.2), tau=0.7), math.nan)
 
     def test_construction_succeeds_iff_map_is_cp(self):
         # a CP verdict means the Kraus form exists at every scanned time,

@@ -55,6 +55,22 @@ class TestTelegraphPath:
         with pytest.raises(ValueError):
             path.values([5.5])
 
+    @pytest.mark.parametrize(
+        "tau, t_max", [(math.nan, 5.0), (1.0, math.nan), (math.inf, 5.0), (1.0, math.inf)]
+    )
+    def test_rejects_non_finite_tau_or_horizon(self, tau, t_max):
+        with pytest.raises(ValueError, match="tau and t_max must be finite and > 0"):
+            TelegraphPath(amplitude=1.0, flip_times=np.array([]), tau=tau, t_max=t_max)
+        with pytest.raises(ValueError, match="tau and t_max must be finite and > 0"):
+            sample_path(tau, 1.0, t_max, trajectory_rng(3, 0))
+
+    def test_nan_times_rejected(self):
+        path = sample_path(1.0, 1.0, 5.0, trajectory_rng(2, 0))
+        with pytest.raises(ValueError):
+            path.values([1.0, math.nan])
+        with pytest.raises(ValueError):
+            signal_samples(1.0, 1.0, [0.0, math.nan], 3, seed=0)
+
     def test_flip_count_statistics(self):
         # Poisson with mean t_max / (2 tau)
         tau, t_max, n = 0.7, 7.0, 4000
@@ -200,6 +216,12 @@ class TestEvolveTrajectory:
         with pytest.raises(ValueError):
             evolve_trajectory(paths, np.eye(2) / 2.0, np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [math.nan], [0.0, math.nan, 1.0]])
+    def test_nan_grid_rejected(self, grid):
+        paths = make_paths([1.0, 0.0, 0.0], [[], [], []])
+        with pytest.raises(ValueError):
+            evolve_trajectory(paths, np.eye(2) / 2.0, np.array(grid))
+
     def test_mismatched_tau_rejected(self):
         p1 = TelegraphPath(1.0, np.array([]), tau=1.0, t_max=5.0)
         p2 = TelegraphPath(1.0, np.array([]), tau=2.0, t_max=5.0)
@@ -242,6 +264,12 @@ class TestEnsembleAverage:
         p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
         with pytest.raises(ValueError):
             ensemble_average(p, np.eye(2) / 2.0, np.array([0.0, 1.0]), 1, seed=0)
+
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_non_finite_grid_rejected(self, last):
+        p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
+        with pytest.raises(ValueError):
+            ensemble_average(p, np.eye(2) / 2.0, np.array([0.0, last]), 4, seed=0)
 
     def test_matches_analytic_dephasing(self):
         # single-axis noise: the averaged equation is exact, so the MC mean

@@ -129,10 +129,11 @@ class TestChoiMatrix:
 
     def test_rejects_negative_nu(self):
         p = random_params(RNG)
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            choi_matrix(p, -1.0)
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            xi(-1.0, p)
+        for nu in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                choi_matrix(p, nu)
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                xi(nu, p)
 
     def test_equals_pauli_trace_reference(self):
         rng = np.random.default_rng(4)
@@ -209,6 +210,35 @@ class TestIsCp:
             w.value, abs=1e-12
         )
 
+    @pytest.mark.parametrize("a", [(1.2, 1.2, 0.0), (50.0, 50.0, 50.0), (1e5, 1e5, 0.0)])
+    def test_witness_matches_choi_spectrum(self, a):
+        p = ModelParams(a=a, tau=1.0)
+        w = is_cp(p).witness
+        assert w is not None
+        assert float(hermitian_eigenvalues(choi_matrix(p, w.nu))[0]) == pytest.approx(
+            w.value, abs=1e-12
+        )
+
+    def test_bound_ends_refinement_of_dephasing(self, monkeypatch):
+        # the first minima of xi_1 and xi_4 pass the grid's dip bound, but
+        # one rescan shows they cannot reach below the witness value 0
+        calls = []
+
+        def counting_xi(nu, params):
+            calls.append(nu)
+            return xi(nu, params)
+
+        monkeypatch.setattr(positivity, "xi", counting_xi)
+        assert is_cp(ModelParams(a=(100.0, 0.0, 0.0), tau=1.0)).is_cp
+        assert len(calls) <= 2
+
+    def test_touching_zero_ends_and_is_cp(self):
+        # at mu = pi / ln 3 the first minimum of xi_4 is exactly 0 (at
+        # nu = ln 3), so only the machine-epsilon floor ends its refinement
+        p = equal_coupling_params(MU_STAR_BOUND)
+        assert abs(float(xi(math.log(3.0), p)[3])) <= 1e-15
+        assert is_cp(p).is_cp
+
     @pytest.mark.parametrize("nu_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_nonpositive_horizon(self, nu_max):
         with pytest.raises(ValueError, match="scan horizon must be finite and > 0"):
@@ -251,6 +281,15 @@ class TestCriticalFlipParameter:
         b1 = critical_flip_parameter((1.0, 1.0, 0.0), tau=0.5)
         b2 = critical_flip_parameter((1.0, 1.0, 0.0), tau=2.0)
         assert b1 == pytest.approx(b2, abs=2e-3)
+
+    def test_lower_bracket_end_is_cp(self):
+        # bisection takes a*tau = 0.01 as CP without scanning it
+        rng = np.random.default_rng(5)
+        shapes = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0)] + [rng.uniform(0, 1, 3) for _ in range(20)]
+        for shape in shapes:
+            unit = np.asarray(shape) / max(shape)
+            p = ModelParams(a=tuple(0.01 * unit), tau=1.0)
+            assert sufficient_condition(p) and is_cp(p).is_cp
 
     def test_dephasing_has_no_boundary(self):
         assert critical_flip_parameter((0.0, 0.0, 1.0), tau=1.0) is None

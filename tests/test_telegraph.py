@@ -204,13 +204,14 @@ class TestRelaxationProfile:
         assert np.isfinite(val) and 0.0 <= val < 1.0
 
     def test_rejects_negative_nu(self):
-        with pytest.raises(ValueError):
-            relaxation_profile(-0.1, 1.0)
         p = ModelParams(a=(0.4, 0.3, 1.2), tau=0.7)
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            relaxation_profiles(np.array([0.0, -0.1]), p)
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            propagate(bloch_to_density([0.6, 0.0, 0.0]), -0.1, p)
+        for nu in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                relaxation_profile(nu, 1.0)
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                relaxation_profiles(np.array([0.0, nu]), p)
+            with pytest.raises(ValueError, match="nu must be >= 0"):
+                propagate(bloch_to_density([0.6, 0.0, 0.0]), nu, p)
 
     def test_profiles_stack_component_profiles(self):
         nus = [0.0, 0.37, 5.0, np.linspace(0.0, 12.0, 97)]
