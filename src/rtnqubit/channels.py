@@ -24,7 +24,6 @@ from . import linalg, positivity
 from .telegraph import ModelParams
 
 __all__ = [
-    "KRAUS_CLAMP",
     "NotCompletelyPositiveError",
     "KrausSet",
     "kraus_from_params",

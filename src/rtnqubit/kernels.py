@@ -15,7 +15,10 @@ memory kernel.  This module solves that equation two ways:
 
 The quadrature combines the trapezoidal rule for the memory integral with
 Heun (predictor-corrector) time stepping and converges at second order in
-the step size.  White-noise evolution is handled in closed form by
+the step size.  For the exponential kernel the memory integral I(t) and
+L(t) form a two-state linear system, so one step is a fixed 2x2 map of
+(L, I) and the whole grid follows from its powers in O(log steps) numpy
+operations.  White-noise evolution is handled in closed form by
 :func:`rtnqubit.telegraph.markov_propagate`.
 """
 
@@ -61,7 +64,7 @@ class ExponentialKernel:
 
     def __call__(self, dt):
         dt = np.asarray(dt, dtype=float)
-        if np.any(dt < 0.0):
+        if not np.all(dt >= 0.0):
             raise ValueError("kernel argument must be >= 0")
         out = np.exp(-dt / self.tau)
         return float(out) if out.ndim == 0 else out
@@ -93,7 +96,7 @@ class SampledKernel:
 
     def __call__(self, dt):
         dt = np.asarray(dt, dtype=float)
-        if np.any(dt < self.times[0]) or np.any(dt > self.times[-1]):
+        if not (np.all(dt >= self.times[0]) and np.all(dt <= self.times[-1])):
             raise ValueError(
                 f"kernel sampled only on [{self.times[0]:g}, {self.times[-1]:g}]; "
                 "refusing to extrapolate"
@@ -130,7 +133,7 @@ def exponential_kernel_poles(eigenvalue: float, tau: float) -> tuple[complex, co
     tau = float(tau)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be > 0, got {tau}")
-    lam = float(eigenvalue)
+    lam = _finite_eigenvalue(eigenvalue)
     b = 1.0 / tau
     root = cmath.sqrt(complex(b * b + 4.0 * lam))
     return ((-b + root) / 2.0, (-b - root) / 2.0)
@@ -142,11 +145,14 @@ def solve_volterra(
     """Integrate dL/dt = lam * int_0^t k(t-s) L(s) ds with L(0) = 1.
 
     Trapezoidal memory integral + Heun stepping; the global error is
-    O(h^2).  For the exponential kernel the shifted trapezoid sum is
-    updated recursively, so the solve is O(steps); tabulated kernels pay
-    the generic O(steps^2).
+    O(h^2).  For the exponential kernel one step is a fixed linear map of
+    (L, I), and the grid is filled by doubling its powers: O(log steps)
+    numpy operations on O(steps) memory.  Tabulated kernels pay the
+    generic O(steps^2).
 
     Raises:
+        ValueError: if the eigenvalue is not finite, t_max is not finite
+            and > 0, or steps < 2.
         NumericalBlowupError: if the solution becomes non-finite.
     """
     steps = int(steps)
@@ -155,7 +161,7 @@ def solve_volterra(
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be > 0, got {t_max}")
-    lam = float(eigenvalue)
+    lam = _finite_eigenvalue(eigenvalue)
 
     grid = np.linspace(0.0, t_max, steps + 1)
     h = t_max / steps
@@ -170,28 +176,34 @@ def solve_volterra(
     return ScalarEvolution(grid=grid, values=values, eigenvalue=lam, kernel=kernel)
 
 
+def _finite_eigenvalue(eigenvalue: float) -> float:
+    lam = float(eigenvalue)
+    if not math.isfinite(lam):
+        raise ValueError(f"eigenvalue must be finite, got {lam}")
+    return lam
+
+
 def _solve_exponential(lam: float, tau: float, h: float, steps: int) -> np.ndarray:
     # The trapezoid sum I_n ~= int_0^{t_n} e^{-(t_n-s)/tau} L(s) ds obeys
-    # I_{n+1} = d*(I_n + h/2 L_n) + h/2 L_{n+1} with d = e^{-h/tau}, which
-    # is the exact composite trapezoid recomputed in O(1) per step.
-    d = math.exp(-h / tau)
-    out = np.empty(steps + 1)
-    out[0] = 1.0
-    cur = 1.0
-    integral = 0.0
-    for n in range(steps):
-        rate = lam * integral
-        shifted = d * (integral + 0.5 * h * cur)
-        predictor = cur + h * rate
-        rate_pred = lam * (shifted + 0.5 * h * predictor)
-        nxt = cur + 0.5 * h * (rate + rate_pred)
-        out[n + 1] = nxt
-        if not math.isfinite(nxt):
-            out[n + 1 :] = math.nan
-            break
-        integral = shifted + 0.5 * h * nxt
-        cur = nxt
-    return out
+    # I_{n+1} = d*(I_n + h/2 L_n) + h/2 L_{n+1} with d = e^{-h/tau}, so one
+    # Heun step is a fixed 2x2 map of (L_n, I_n).  grow = step^n - 1 fills
+    # steps n..2n-1 from steps 0..n-1, then n doubles; step^n itself would
+    # lose the digits of a near-identity map that step^n - 1 keeps.
+    cur, integral = np.eye(2)  # the unit states; grow starts as step - 1
+    rate = lam * integral
+    shift = math.expm1(-h / tau) * integral + math.exp(-h / tau) * 0.5 * h * cur  # d(I + h/2 L) - I
+    d_cur = 0.5 * h * (rate + lam * (integral + shift + 0.5 * h * (cur + h * rate)))
+    grow = np.array([d_cur, shift + 0.5 * h * (cur + d_cur)])
+    out = np.empty((2, steps + 1))
+    out[:, 0] = (1.0, 0.0)
+    n = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= steps:
+            m = min(n, steps + 1 - n)
+            out[:, n : n + m] = out[:, :m] + grow @ out[:, :m]
+            grow = 2.0 * grow + grow @ grow
+            n *= 2
+    return out[0].copy()  # a solution need not keep the I row alive
 
 
 def _solve_generic(lam: float, kernel_values: np.ndarray, h: float, steps: int) -> np.ndarray:

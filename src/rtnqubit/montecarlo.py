@@ -121,6 +121,19 @@ def _rotate(b, axis, angle: float):
     )
 
 
+def _nu_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if not (
+        grid.ndim == 1
+        and grid.size
+        and grid[0] >= 0.0
+        and grid[-1] < math.inf
+        and np.all(np.diff(grid) >= 0.0)
+    ):
+        raise ValueError("grid must be a non-empty 1-d array of finite, nonnegative, ascending nu")
+    return grid
+
+
 def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     """Evolve one noise realization exactly; return Bloch rows per grid nu.
 
@@ -140,9 +153,7 @@ def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     tau = paths[0].tau
     if any(p.tau != tau for p in paths):
         raise ValueError("paths must share one flip timescale")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not (np.all(np.diff(grid) >= 0.0) and grid[0] >= 0.0):
-        raise ValueError("grid must be ascending and nonnegative")
+    grid = _nu_grid(grid)
     t_grid = (2.0 * tau) * grid
     if not t_grid[-1] <= min(p.t_max for p in paths):
         raise ValueError("grid extends beyond the sampled paths")
@@ -213,8 +224,8 @@ def ensemble_average(
     n = int(n_trajectories)
     if n < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    grid = np.asarray(grid, dtype=float)
-    t_max = float(2.0 * params.tau * np.max(grid))
+    grid = _nu_grid(grid)
+    t_max = float(2.0 * params.tau * grid[-1])
     if t_max <= 0.0:
         # all-zero grid: paths still need a positive horizon
         t_max = 2.0 * params.tau

@@ -220,7 +220,7 @@ def markov_propagate(rho0, t: float, params: ModelParams) -> np.ndarray:
     Bloch components decay as exp(-gamma_i t) with gamma_i = 4 kappa_i^2
     tau; this is the limit tau -> 0 at fixed 2 a_i^2 tau of the full model.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
     b = linalg.density_to_bloch(rho0)
     return linalg.bloch_to_density(np.exp(-markov_rates(params) * float(t)) * b)

@@ -17,6 +17,47 @@ def closed_form(nu, kappa_tau):
     return relaxation_profile(nu, kappa_tau)
 
 
+def heun_reference(lam, tau, h, steps):
+    # the exponential-kernel scheme one step at a time: trapezoid memory sum
+    # updated in O(1) per step, Heun predictor-corrector, NaN after blow-up
+    d = math.exp(-h / tau)
+    out = np.empty(steps + 1)
+    out[0] = 1.0
+    cur = 1.0
+    integral = 0.0
+    for n in range(steps):
+        rate = lam * integral
+        shifted = d * (integral + 0.5 * h * cur)
+        predictor = cur + h * rate
+        rate_pred = lam * (shifted + 0.5 * h * predictor)
+        nxt = cur + 0.5 * h * (rate + rate_pred)
+        out[n + 1] = nxt
+        if not math.isfinite(nxt):
+            out[n + 1 :] = math.nan
+            break
+        integral = shifted + 0.5 * h * nxt
+        cur = nxt
+    return out
+
+
+def reference_cases():
+    # log-uniform draws of both eigenvalue signs, plus the smallest, odd and
+    # zero-eigenvalue cases; the second batch reaches overflow in some cases
+    rng = np.random.default_rng(20240)
+    fixed = [(-4.0, 1.0, 5.0, s) for s in (2, 3, 5, 7, 1001, 4097)]
+    fixed += [(0.0, tau, 7.0, s) for tau in (0.01, 1.0, 10.0) for s in (2, 3, 5, 10_000)]
+    fixed.append((400.0, 1.0, 200.0, 4000))
+    drawn = []
+    for lam_exp, t_exp in (((-3.0, 3.0), (-2.0, 2.0)), ((0.0, 4.0), (0.0, 2.5))):
+        for _ in range(120):
+            lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*lam_exp)
+            tau = 10.0 ** rng.uniform(-2.0, 1.0)
+            t_max = 10.0 ** rng.uniform(*t_exp)
+            steps = round(10.0 ** rng.uniform(math.log10(2.0), math.log10(20_000.0)))
+            drawn.append((float(lam), float(tau), float(t_max), int(steps)))
+    return fixed + drawn
+
+
 class TestLaplacePoles:
     def test_free_case(self):
         roots = exponential_kernel_poles(0.0, tau=2.0)
@@ -59,6 +100,11 @@ class TestLaplacePoles:
         with pytest.raises(ValueError):
             exponential_kernel_poles(-1.0, tau=-2.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalue_rejected(self, lam):
+        with pytest.raises(ValueError, match="eigenvalue must be finite"):
+            exponential_kernel_poles(lam, tau=1.0)
+
 
 class TestKernelTypes:
     def test_exponential_values(self):
@@ -67,8 +113,9 @@ class TestKernelTypes:
         assert k(1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_exponential_rejects_negative_dt(self):
-        with pytest.raises(ValueError):
-            ExponentialKernel(tau=1.0)(-0.1)
+        for dt in (-0.1, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                ExponentialKernel(tau=1.0)(dt)
 
     def test_exponential_validates_tau(self):
         with pytest.raises(ValueError):
@@ -80,8 +127,9 @@ class TestKernelTypes:
 
     def test_sampled_refuses_extrapolation(self):
         k = SampledKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            k(1.5)
+        for dt in (1.5, -0.5, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                k(dt)
 
     def test_sampled_validation(self):
         with pytest.raises(ValueError):
@@ -189,3 +237,22 @@ class TestSolveVolterra:
             solve_volterra(k, -1.0, t_max=1.0, steps=1)
         with pytest.raises(ValueError):
             solve_volterra(k, -1.0, t_max=0.0, steps=10)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eigenvalue must be finite"):
+                solve_volterra(k, lam, t_max=1.0, steps=10)
+
+    def test_matches_heun_reference(self):
+        blowups = 0
+        for lam, tau, t_max, steps in reference_cases():
+            ref = heun_reference(lam, tau, t_max / steps, steps)
+            if not np.all(np.isfinite(ref)):
+                blowups += 1
+                with pytest.raises(NumericalBlowupError):
+                    solve_volterra(ExponentialKernel(tau), lam, t_max, steps)
+                continue
+            sol = solve_volterra(ExponentialKernel(tau), lam, t_max, steps)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(sol.values - ref)) <= 1e-11 * scale, (lam, tau, t_max, steps)
+            if lam == 0.0:
+                assert np.array_equal(sol.values, np.ones(steps + 1))
+        assert blowups >= 10

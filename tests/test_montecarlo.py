@@ -268,7 +268,7 @@ class TestEnsembleAverage:
     @pytest.mark.parametrize("last", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, last):
         p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid"):
             ensemble_average(p, np.eye(2) / 2.0, np.array([0.0, last]), 4, seed=0)
 
     def test_matches_analytic_dephasing(self):

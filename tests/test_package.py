@@ -16,3 +16,35 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_public_names():
+    # each module declares its names once; the package re-exports exactly these
+    expected = {
+        "__version__",
+        # linalg
+        "NotAStateError", "pauli", "bloch_to_density", "density_to_bloch",
+        "hermitian_eigenvalues", "bell_projector", "is_density_matrix",
+        # telegraph
+        "ModelParams", "Regime", "damping_spectrum", "classify_regime",
+        "relaxation_profile", "relaxation_profiles", "propagate", "propagate_time",
+        "markov_propagate", "markov_rates",
+        # kernels
+        "ExponentialKernel", "SampledKernel", "ScalarEvolution", "NumericalBlowupError",
+        "exponential_kernel_poles", "solve_volterra",
+        # positivity
+        "CP_TOLERANCE", "MU_STAR_BOUND", "CpVerdict", "CpWitness", "xi", "choi_matrix",
+        "scan_horizon", "is_cp", "critical_flip_parameter", "sufficient_condition",
+        "markov_cp_check",
+        # channels
+        "KrausSet", "NotCompletelyPositiveError", "kraus_from_params", "apply_channel",
+        "dephasing_steady_state",
+        # montecarlo
+        "TelegraphPath", "EnsembleResult", "sample_path", "evolve_trajectory",
+        "ensemble_average", "signal_samples", "trajectory_rng",
+    }
+    assert len(rtnqubit.__all__) == len(expected) == 47
+    assert set(rtnqubit.__all__) == expected
+    assert all(hasattr(rtnqubit, name) for name in expected)
+    assert not hasattr(rtnqubit, "KRAUS_CLAMP")
+    assert rtnqubit.channels.KRAUS_CLAMP == 1e-10

@@ -314,6 +314,12 @@ class TestMarkovPropagate:
         expected = 4.0 * 1.5**2 * 0.3
         assert np.allclose(markov_rates(p), [expected, expected, 0.0], atol=0)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_t(self, t):
+        p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            markov_propagate(np.eye(2) / 2.0, t, p)
+
     def test_rate_decay(self):
         p = ModelParams(a=(0.0, 0.0, 1.5), tau=0.3)
         b0 = np.array([0.6, 0.0, 0.5])
