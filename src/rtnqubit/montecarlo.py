@@ -15,7 +15,9 @@ disagreement with the closed form is purely statistical.
 Reproducibility contract: trajectory i draws from a counter-based Philox
 stream keyed by (seed, i), and trajectories are reduced in index order,
 so a fixed (seed, N, grid) gives bit-identical results regardless of how
-the work would be scheduled.
+the work would be scheduled.  The trajectories of an ensemble are evolved
+together, in one loop over their merged flip-and-grid timelines, and each
+takes exactly the rotations, in the same order, that it would take alone.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class TelegraphPath:
     def __post_init__(self) -> None:
         if not (0.0 < self.tau < math.inf and 0.0 < self.t_max < math.inf):
             raise ValueError("tau and t_max must be finite and > 0")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         flips = np.asarray(self.flip_times, dtype=float)
         if flips.ndim != 1 or not np.all(np.diff(flips) > 0.0):
             raise ValueError("flip times must be a strictly increasing 1-d array")
@@ -90,27 +94,26 @@ def sample_path(tau: float, a: float, t_max: float, rng: np.random.Generator) ->
     while t < t_max:
         flips.append(t)
         t += rng.exponential(2.0 * tau)
-    return TelegraphPath(
-        amplitude=amplitude, flip_times=np.array(flips), tau=tau, t_max=t_max
-    )
+    return TelegraphPath(amplitude=amplitude, flip_times=np.array(flips), tau=tau, t_max=t_max)
 
 
-def _rotate(b, axis, angle: float):
-    # Rotation of Bloch vector b about unit axis k by angle.  Axis-aligned
-    # fields are special-cased so the component along the field is copied
-    # unchanged (it is an exact constant of the motion, and tests rely on
-    # bit-exact conservation); the generic case is Rodrigues' formula.
+def _rotate(b, axis, angle):
+    # Rotation of Bloch vectors b about unit axes k by angles, one array per
+    # component.  Axis-aligned fields are special-cased so the component
+    # along the field is copied unchanged (an exact constant of the motion;
+    # tests rely on bit-exact conservation), else Rodrigues' formula.  The
+    # case depends only on which couplings are nonzero: one per model.
     bx, by, bz = b
     kx, ky, kz = axis
-    c = math.cos(angle)
-    s = math.sin(angle)
-    if ky == 0.0 and kz == 0.0:
+    c = np.cos(angle)
+    s = np.sin(angle)
+    if not (ky.any() or kz.any()):
         s *= kx
         return (bx, by * c - bz * s, bz * c + by * s)
-    if kx == 0.0 and kz == 0.0:
+    if not (kx.any() or kz.any()):
         s *= ky
         return (bx * c + bz * s, by, bz * c - bx * s)
-    if kx == 0.0 and ky == 0.0:
+    if not (kx.any() or ky.any()):
         s *= kz
         return (bx * c - by * s, by * c + bx * s, bz)
     dot = (kx * bx + ky * by + kz * bz) * (1.0 - c)
@@ -123,15 +126,51 @@ def _rotate(b, axis, angle: float):
 
 def _nu_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if not (
-        grid.ndim == 1
-        and grid.size
-        and grid[0] >= 0.0
-        and grid[-1] < math.inf
-        and np.all(np.diff(grid) >= 0.0)
-    ):
+    ok = grid.ndim == 1 and grid.size and grid[0] >= 0.0 and grid[-1] < math.inf
+    if not (ok and np.all(np.diff(grid) >= 0.0)):
         raise ValueError("grid must be a non-empty 1-d array of finite, nonnegative, ascending nu")
     return grid
+
+
+def _evolve(trajectories, b0, t_grid) -> np.ndarray:
+    """Bloch rows at ``t_grid`` of each trajectory (three paths): (n, len(t_grid), 3).
+
+    Timeline column i holds trajectory i's flips up to the last grid time
+    and the grid times, a flip first at a tie; shorter columns end with
+    repeats of the last grid row, which change nothing.  Each step rotates
+    every trajectory about its field up to the step's time, then flips axis
+    component ``kind`` < 3 or records grid row ``row`` (kind 3), so each
+    trajectory takes the rotations it would take alone.
+    """
+    n, m, t_end = len(trajectories), t_grid.size, t_grid[-1]
+    amps = np.array([[p.amplitude for p in paths] for paths in trajectories], dtype=float)
+    g = np.sqrt((amps * amps).sum(axis=1))
+    if not np.all(g < math.inf):
+        raise ValueError("field magnitude overflows: a1^2 + a2^2 + a3^2 is not finite")
+    axis = amps.T / np.where(g > 0.0, g, 1.0)
+    flips = [p.flip_times for paths in trajectories for p in paths]
+    owner = np.repeat(np.arange(3 * n), [f.size for f in flips])  # 3 * trajectory + axis
+    time = np.concatenate(flips)
+    keep = np.flatnonzero(time <= t_end)
+    keep = keep[np.lexsort((time[keep], owner[keep] // 3))]  # stable: axis order at ties
+    time, col = time[keep], owner[keep] // 3
+    count = np.bincount(col, minlength=n)
+    slot = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
+    slot += np.searchsorted(t_grid, time)  # grid times strictly before the flip
+    kinds = np.full((m + count.max(), n), 3, dtype=np.int8)
+    kinds[slot, col] = owner[keep] % 3
+    rows = np.minimum(np.cumsum(kinds == 3, axis=0) - 1, m - 1)
+    times = t_grid[rows]
+    times[slot, col] = time
+    b = np.repeat(b0[:, None], n, axis=1)
+    out, t_cur = np.empty((n, m, 3)), np.zeros(n)
+    for t, kind, row in zip(times, kinds, rows):
+        turn = (g > 0.0) & (t > t_cur)
+        b = np.where(turn, _rotate(b, axis, 2.0 * g * (t - t_cur)), b)
+        axis *= np.where(np.arange(3)[:, None] == kind, -1.0, 1.0)
+        t_cur, r = t, kind == 3
+        out[r, row[r]] = b[:, r].T
+    return out
 
 
 def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
@@ -146,7 +185,8 @@ def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     Between the merged flip events the field is constant, so each segment
     applies the exact unitary: a Bloch rotation about the current field
     direction at angular rate 2 |Gamma|.  Purity is conserved along the
-    trajectory up to roundoff.
+    trajectory up to roundoff.  This is the ensemble's evolution run on a
+    batch of one trajectory.
     """
     if len(paths) != 3:
         raise ValueError("need exactly three telegraph paths")
@@ -157,42 +197,7 @@ def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     t_grid = (2.0 * tau) * grid
     if not t_grid[-1] <= min(p.t_max for p in paths):
         raise ValueError("grid extends beyond the sampled paths")
-
-    amps = [p.amplitude for p in paths]
-    g = math.sqrt(sum(a * a for a in amps))
-    events: list[tuple[float, int]] = sorted(
-        (t, k) for k, p in enumerate(paths) for t in p.flip_times.tolist()
-    )
-
-    b = tuple(linalg.density_to_bloch(rho0))
-    out = np.empty((grid.size, 3))
-    signs = [1.0, 1.0, 1.0]
-    t_cur = 0.0
-    ev = 0
-    n_events = len(events)
-    for gi, tg in enumerate(t_grid.tolist()):
-        while ev < n_events and events[ev][0] <= tg:
-            t_flip, k = events[ev]
-            if g > 0.0 and t_flip > t_cur:
-                axis = (
-                    amps[0] * signs[0] / g,
-                    amps[1] * signs[1] / g,
-                    amps[2] * signs[2] / g,
-                )
-                b = _rotate(b, axis, 2.0 * g * (t_flip - t_cur))
-            signs[k] = -signs[k]
-            t_cur = t_flip
-            ev += 1
-        if g > 0.0 and tg > t_cur:
-            axis = (
-                amps[0] * signs[0] / g,
-                amps[1] * signs[1] / g,
-                amps[2] * signs[2] / g,
-            )
-            b = _rotate(b, axis, 2.0 * g * (tg - t_cur))
-        t_cur = tg
-        out[gi] = b
-    return out
+    return _evolve([paths], linalg.density_to_bloch(rho0), t_grid)[0]
 
 
 @dataclass(frozen=True)
@@ -225,15 +230,11 @@ def ensemble_average(
     if n < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
     grid = _nu_grid(grid)
-    t_max = float(2.0 * params.tau * grid[-1])
-    if t_max <= 0.0:
-        # all-zero grid: paths still need a positive horizon
-        t_max = 2.0 * params.tau
-    acc = np.empty((n, grid.size, 3))
-    for i in range(n):
-        rng = trajectory_rng(seed, i)
-        paths = tuple(sample_path(params.tau, params.a[k], t_max, rng) for k in range(3))
-        acc[i] = evolve_trajectory(paths, rho0, grid)
+    # an all-zero grid still needs paths with a positive horizon
+    t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
+    rngs = (trajectory_rng(seed, i) for i in range(n))
+    trajectories = [tuple(sample_path(params.tau, a, t_max, rng) for a in params.a) for rng in rngs]
+    acc = _evolve(trajectories, linalg.density_to_bloch(rho0), (2.0 * params.tau) * grid)
     mean = acc.mean(axis=0)
     stderr = acc.std(axis=0, ddof=1) / math.sqrt(n)
     return EnsembleResult(
@@ -241,9 +242,7 @@ def ensemble_average(
     )
 
 
-def signal_samples(
-    tau: float, a: float, times, n_paths: int, seed: int
-) -> np.ndarray:
+def signal_samples(tau: float, a: float, times, n_paths: int, seed: int) -> np.ndarray:
     """Matrix of telegraph signal values, one row per sampled path.
 
     Convenience for statistical checks (zero mean, exponential
@@ -251,9 +250,9 @@ def signal_samples(
     per-index streams as the ensemble.
     """
     times = np.asarray(times, dtype=float)
-    t_max = float(np.max(times))
-    if t_max <= 0.0:
-        t_max = tau
+    if not (times.size and np.all((times >= 0.0) & (times < math.inf))):
+        raise ValueError("times must be non-empty, finite and >= 0")
+    t_max = float(np.max(times)) or tau
     out = np.empty((int(n_paths), times.size))
     for i in range(int(n_paths)):
         path = sample_path(tau, a, t_max, trajectory_rng(seed, i))

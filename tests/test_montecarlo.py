@@ -7,6 +7,7 @@ from rtnqubit import (
     ModelParams,
     TelegraphPath,
     bloch_to_density,
+    density_to_bloch,
     ensemble_average,
     evolve_trajectory,
     relaxation_profiles,
@@ -27,6 +28,72 @@ def make_paths(amps, flip_lists, tau=1.0, t_max=10.0):
 
 def purity(b):
     return 0.5 * (1.0 + float(np.dot(b, b)))
+
+
+def _rotate_reference(b, axis, angle):
+    # scalar rotation, as the per-event loop below used it
+    bx, by, bz = b
+    kx, ky, kz = axis
+    c = math.cos(angle)
+    s = math.sin(angle)
+    if ky == 0.0 and kz == 0.0:
+        s *= kx
+        return (bx, by * c - bz * s, bz * c + by * s)
+    if kx == 0.0 and kz == 0.0:
+        s *= ky
+        return (bx * c + bz * s, by, bz * c - bx * s)
+    if kx == 0.0 and ky == 0.0:
+        s *= kz
+        return (bx * c - by * s, by * c + bx * s, bz)
+    dot = (kx * bx + ky * by + kz * bz) * (1.0 - c)
+    return (
+        bx * c + (ky * bz - kz * by) * s + kx * dot,
+        by * c + (kz * bx - kx * bz) * s + ky * dot,
+        bz * c + (kx * by - ky * bx) * s + kz * dot,
+    )
+
+
+def evolve_reference(paths, rho0, grid):
+    """One trajectory, one flip event at a time: the reference for the batched evolution."""
+    t_grid = (2.0 * paths[0].tau) * np.asarray(grid, dtype=float)
+    amps = [p.amplitude for p in paths]
+    g = math.sqrt(sum(a * a for a in amps))
+    events = sorted((t, k) for k, p in enumerate(paths) for t in p.flip_times.tolist())
+    b = tuple(density_to_bloch(rho0))
+    out = np.empty((t_grid.size, 3))
+    signs = [1.0, 1.0, 1.0]
+    t_cur = 0.0
+    ev = 0
+    for gi, tg in enumerate(t_grid.tolist()):
+        while ev < len(events) and events[ev][0] <= tg:
+            t_flip, k = events[ev]
+            if g > 0.0 and t_flip > t_cur:
+                axis = tuple(a * s / g for a, s in zip(amps, signs))
+                b = _rotate_reference(b, axis, 2.0 * g * (t_flip - t_cur))
+            signs[k] = -signs[k]
+            t_cur = t_flip
+            ev += 1
+        if g > 0.0 and tg > t_cur:
+            axis = tuple(a * s / g for a, s in zip(amps, signs))
+            b = _rotate_reference(b, axis, 2.0 * g * (tg - t_cur))
+        t_cur = tg
+        out[gi] = b
+    return out
+
+
+# (couplings, nu grid): every axis-aligned rotation case, the generic case,
+# zero field, repeated grid points, a one-point grid and an all-zero grid
+REFERENCE_CASES = {
+    "x": ((1.3, 0.0, 0.0), np.linspace(0.0, 3.0, 31)),
+    "y": ((0.0, 0.7, 0.0), np.linspace(0.0, 4.0, 17)),
+    "z": ((0.0, 0.0, 2.1), np.linspace(0.5, 2.0, 12)),
+    "xz": ((0.8, 0.0, 0.5), np.linspace(0.0, 5.0, 41)),
+    "xyz": ((0.9, 0.4, 1.7), np.linspace(0.0, 3.0, 25)),
+    "zero field": ((0.0, 0.0, 0.0), np.linspace(0.0, 2.0, 5)),
+    "repeated points": ((0.6, 1.1, 0.3), np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.2, 2.0, 2.0])),
+    "one point": ((0.6, 1.1, 0.3), np.array([1.7])),
+    "all-zero grid": ((0.6, 0.0, 0.3), np.zeros(3)),
+}
 
 
 class TestTelegraphPath:
@@ -64,12 +131,24 @@ class TestTelegraphPath:
         with pytest.raises(ValueError, match="tau and t_max must be finite and > 0"):
             sample_path(tau, 1.0, t_max, trajectory_rng(3, 0))
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            TelegraphPath(amplitude=amplitude, flip_times=np.array([1.0]), tau=1.0, t_max=5.0)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            sample_path(1.0, amplitude, 5.0, trajectory_rng(3, 0))
+
     def test_nan_times_rejected(self):
         path = sample_path(1.0, 1.0, 5.0, trajectory_rng(2, 0))
         with pytest.raises(ValueError):
             path.values([1.0, math.nan])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="times"):
             signal_samples(1.0, 1.0, [0.0, math.nan], 3, seed=0)
+
+    @pytest.mark.parametrize("times", [[], [math.inf], [0.0, -math.inf], [2.0, -1.0]])
+    def test_signal_samples_rejects_bad_times(self, times):
+        with pytest.raises(ValueError, match="times must be non-empty, finite and >= 0"):
+            signal_samples(1.0, 1.0, times, 3, seed=0)
 
     def test_flip_count_statistics(self):
         # Poisson with mean t_max / (2 tau)
@@ -106,6 +185,34 @@ class TestTelegraphPath:
 
 
 class TestEvolveTrajectory:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("horizon", [1.0, 1.7])
+    def test_matches_reference(self, case, horizon):
+        # bit for bit, on sampled paths that end at or beyond the grid
+        a, grid = REFERENCE_CASES[case]
+        tau = 0.7
+        t_max = max(2.0 * tau * grid[-1], 0.5) * horizon
+        rng = np.random.default_rng(2024)
+        for i in range(12):
+            b0 = rng.normal(size=3)
+            rho0 = bloch_to_density(b0 / (np.linalg.norm(b0) * rng.uniform(1.0, 2.0)))
+            paths = tuple(sample_path(tau, x, t_max, trajectory_rng(i, 0)) for x in a)
+            assert np.array_equal(
+                evolve_trajectory(paths, rho0, grid), evolve_reference(paths, rho0, grid)
+            )
+
+    def test_flips_at_grid_times_match_reference(self):
+        # tau = 0.5 makes t = nu: flips at 0, at interior grid times (two
+        # axes at once at t = 1), at the last grid time and between points
+        grid = np.linspace(0.0, 2.0, 9)
+        paths = make_paths(
+            [0.9, -0.6, 1.4], [[0.5, 1.0, 1.3], [1.0, 1.75], [0.0, 0.25, 2.0]], tau=0.5, t_max=2.5
+        )
+        rho0 = bloch_to_density([0.3, -0.5, 0.6])
+        assert np.array_equal(
+            evolve_trajectory(paths, rho0, grid), evolve_reference(paths, rho0, grid)
+        )
+
     def test_zero_amplitudes_keep_state(self):
         paths = make_paths([0.0, 0.0, 0.0], [[1.0], [2.0], [0.5]])
         out = evolve_trajectory(paths, bloch_to_density([0.3, -0.2, 0.5]), np.linspace(0, 4, 9))
@@ -222,6 +329,11 @@ class TestEvolveTrajectory:
         with pytest.raises(ValueError):
             evolve_trajectory(paths, np.eye(2) / 2.0, np.array(grid))
 
+    def test_overflowing_field_rejected(self):
+        paths = make_paths([1e200, 0.0, 0.0], [[], [], []])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="field magnitude"):
+            evolve_trajectory(paths, np.eye(2) / 2.0, np.array([0.0, 1.0]))
+
     def test_mismatched_tau_rejected(self):
         p1 = TelegraphPath(1.0, np.array([]), tau=1.0, t_max=5.0)
         p2 = TelegraphPath(1.0, np.array([]), tau=2.0, t_max=5.0)
@@ -230,6 +342,26 @@ class TestEvolveTrajectory:
 
 
 class TestEnsembleAverage:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference(self, case):
+        # same streams, reference trajectories, the same reduction: same bits
+        a, grid = REFERENCE_CASES[case]
+        p = ModelParams(a=a, tau=0.8)
+        rho0 = bloch_to_density([0.5, -0.4, 0.6])
+        n, seed = 37, 4242
+        res = ensemble_average(p, rho0, grid, n, seed)
+        t_max = float(2.0 * p.tau * grid[-1]) or 2.0 * p.tau
+        acc = np.array(
+            [
+                evolve_reference(
+                    tuple(sample_path(p.tau, x, t_max, rng) for x in p.a), rho0, grid
+                )
+                for rng in (trajectory_rng(seed, i) for i in range(n))
+            ]
+        )
+        assert np.array_equal(res.mean_bloch, acc.mean(axis=0))
+        assert np.array_equal(res.stderr, acc.std(axis=0, ddof=1) / math.sqrt(n))
+
     def test_initial_point_exact(self):
         p = ModelParams(a=(0.5, 0.5, 0.5), tau=1.0)
         b0 = [0.3, -0.4, 0.5]
