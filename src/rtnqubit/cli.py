@@ -276,12 +276,7 @@ def _cmd_mc_validate(cfg: dict) -> int:
     grid = np.linspace(0.0, cfg["nu_max"], cfg["steps"] + 1)
     n = cfg["trajectories"]
     if n == 1:
-        t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
-        rng = montecarlo.trajectory_rng(cfg["seed"], 0)
-        paths = tuple(
-            montecarlo.sample_path(params.tau, params.a[k], t_max, rng) for k in range(3)
-        )
-        mean = montecarlo.evolve_trajectory(paths, rho0, grid)
+        mean = montecarlo._trajectories(params, rho0, grid, 1, cfg["seed"])[0]
         stderr = np.zeros_like(mean)
     else:
         result = montecarlo.ensemble_average(params, rho0, grid, n, cfg["seed"])
@@ -317,7 +312,10 @@ def _cmd_mc_validate(cfg: dict) -> int:
         f"({'pass' if passed else 'FAIL'}, N = {n})"
     )
     meta = _meta(
-        "mc-validate", cfg, verdict={"fraction_within_3se": fraction, "passed": passed}
+        "mc-validate",
+        cfg,
+        contract_version=montecarlo.CONTRACT_VERSION,
+        verdict={"fraction_within_3se": fraction, "passed": passed},
     )
     _emit(cfg, meta, columns, rows, verdict=line)
     return 0 if passed else 1

@@ -12,12 +12,20 @@ rotation of the Bloch vector about the instantaneous field axis by angle
 2 |Gamma| dt.  There is no time-discretization error: any residual
 disagreement with the closed form is purely statistical.
 
-Reproducibility contract: trajectory i draws from a counter-based Philox
-stream keyed by (seed, i), and trajectories are reduced in index order,
-so a fixed (seed, N, grid) gives bit-identical results regardless of how
-the work would be scheduled.  The trajectories of an ensemble are evolved
-together, in one loop over their merged flip-and-grid timelines, and each
-takes exactly the rotations, in the same order, that it would take alone.
+Reproducibility contract (version ``CONTRACT_VERSION``): an ensemble of N
+trajectories is drawn in blocks of ``_BLOCK`` trajectories, block b from a
+counter-based Philox stream keyed by (seed, b).  Within a block the draw
+order is fixed: a sign coin per (trajectory, nonzero axis), then a
+Poisson(t_max / 2 tau) flip count per (trajectory, nonzero axis), then
+that many uniform flip times on [0, t_max], trajectory-major.  By the
+order statistics of a Poisson process these are the flips of a telegraph
+signal; an axis with zero coupling draws nothing.  Trajectories are
+reduced in index order, so a fixed (seed, N, grid) gives bit-identical
+results within one contract version.  The trajectories of an ensemble are
+evolved together, in one loop over their merged flip-and-grid timelines,
+and each takes exactly the rotations, in the same order, that it would
+take alone.  ``trajectory_rng`` and ``sample_path`` draw one path at a time
+from a per-(seed, index) stream, a different stream family from the blocks.
 """
 
 from __future__ import annotations
@@ -81,8 +89,9 @@ class TelegraphPath:
 def sample_path(tau: float, a: float, t_max: float, rng: np.random.Generator) -> TelegraphPath:
     """Draw one telegraph realization.
 
-    Draw order is fixed (sign coin first, then waiting times), which the
-    ensemble reproducibility contract relies on.
+    Draw order is fixed (sign coin first, then exponential waiting times),
+    so a path drawn from ``trajectory_rng(seed, i)`` is reproducible.  The
+    ensembles draw from the block sampler instead (see the module docstring).
     """
     tau = float(tau)
     t_max = float(t_max)
@@ -132,25 +141,24 @@ def _nu_grid(grid) -> np.ndarray:
     return grid
 
 
-def _evolve(trajectories, b0, t_grid) -> np.ndarray:
-    """Bloch rows at ``t_grid`` of each trajectory (three paths): (n, len(t_grid), 3).
+def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
+    """Bloch rows at ``t_grid`` of each trajectory: (n, len(t_grid), 3).
 
-    Timeline column i holds trajectory i's flips up to the last grid time
-    and the grid times, a flip first at a tie; shorter columns end with
-    repeats of the last grid row, which change nothing.  Each step rotates
-    every trajectory about its field up to the step's time, then flips axis
-    component ``kind`` < 3 or records grid row ``row`` (kind 3), so each
-    trajectory takes the rotations it would take alone.
+    ``amps`` (n, 3) holds each trajectory's signed initial couplings, and
+    flip j (in any order) flips axis ``owner[j] % 3`` of trajectory
+    ``owner[j] // 3`` at ``time[j]``.  Timeline column i holds trajectory
+    i's flips up to the last grid time and the grid times, a flip first at
+    a tie; shorter columns end with repeats of the last grid row, which
+    change nothing.  Each step rotates every trajectory about its field up
+    to the step's time, then flips axis component ``kind`` < 3 or records
+    grid row ``row`` (kind 3), so each trajectory takes the rotations it
+    would take alone.
     """
-    n, m, t_end = len(trajectories), t_grid.size, t_grid[-1]
-    amps = np.array([[p.amplitude for p in paths] for paths in trajectories], dtype=float)
+    n, m, t_end = amps.shape[0], t_grid.size, t_grid[-1]
     g = np.sqrt((amps * amps).sum(axis=1))
     if not np.all(g < math.inf):
         raise ValueError("field magnitude overflows: a1^2 + a2^2 + a3^2 is not finite")
     axis = amps.T / np.where(g > 0.0, g, 1.0)
-    flips = [p.flip_times for paths in trajectories for p in paths]
-    owner = np.repeat(np.arange(3 * n), [f.size for f in flips])  # 3 * trajectory + axis
-    time = np.concatenate(flips)
     keep = np.flatnonzero(time <= t_end)
     keep = keep[np.lexsort((time[keep], owner[keep] // 3))]  # stable: axis order at ties
     time, col = time[keep], owner[keep] // 3
@@ -197,18 +205,32 @@ def evolve_trajectory(paths, rho0, grid) -> np.ndarray:
     t_grid = (2.0 * tau) * grid
     if not t_grid[-1] <= min(p.t_max for p in paths):
         raise ValueError("grid extends beyond the sampled paths")
-    return _evolve([paths], linalg.density_to_bloch(rho0), t_grid)[0]
+    amps = np.array([[p.amplitude for p in paths]])
+    owner = np.repeat(np.arange(3), [p.flip_times.size for p in paths])
+    time = np.concatenate([p.flip_times for p in paths])
+    return _evolve(amps, owner, time, linalg.density_to_bloch(rho0), t_grid)[0]
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Ensemble mean of the Bloch vector with per-point standard errors."""
+    """Ensemble mean of the Bloch vector with per-point standard errors.
+
+    Equal inputs give equal bits within one ``contract_version``; another
+    version may draw other trajectories.
+    """
 
     grid: np.ndarray
     mean_bloch: np.ndarray  # shape (len(grid), 3)
     stderr: np.ndarray  # sample stddev / sqrt(N), same shape
     n_trajectories: int
     seed: int
+    contract_version: int
+
+
+# Version of the ensemble's streams, draw order and reduction (see the
+# module docstring): any change to them, _BLOCK included, bumps it.
+CONTRACT_VERSION = 2
+_BLOCK = 1024
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -218,27 +240,76 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _blocks(a, tau: float, t_max: float, n: int, seed: int):
+    """Telegraph noise of n trajectories, one (start, amps, owner, time) per block.
+
+    Block b holds trajectories ``start`` = b * _BLOCK onwards and draws from
+    a Philox stream whose two-word spawn key (_BLOCK, b) can never equal a
+    one-word ``trajectory_rng`` key.  ``amps`` (size, 3) are the signed
+    couplings; flip j flips axis ``owner[j] % 3`` of the block's trajectory
+    ``owner[j] // 3`` at ``time[j]``, grouped by owner but not sorted.
+    """
+    if not (0.0 < tau < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError("tau and t_max must be finite and > 0")
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("amplitude must be finite")
+    axes = np.flatnonzero(a)  # a zero coupling draws nothing
+    mean_flips = t_max / (2.0 * tau)
+    for start in range(0, n, _BLOCK):
+        rng = np.random.Generator(
+            np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(_BLOCK, start // _BLOCK))
+            )
+        )
+        size = min(_BLOCK, n - start)
+        coins = rng.integers(0, 2, (size, axes.size))
+        counts = rng.poisson(mean_flips, (size, axes.size))
+        time = rng.uniform(0.0, t_max, int(counts.sum()))
+        amps = np.zeros((size, 3))
+        amps[:, axes] = np.where(coins == 0, a[axes], -a[axes])
+        owner = np.repeat((3 * np.arange(size)[:, None] + axes).ravel(), counts.ravel())
+        yield start, amps, owner, time
+
+
+def _trajectories(params: ModelParams, rho0, grid, n: int, seed: int) -> np.ndarray:
+    """Bloch rows (n, len(grid), 3) of the n trajectories of ensemble ``seed``."""
+    # an all-zero grid still needs paths with a positive horizon
+    t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
+    b0 = linalg.density_to_bloch(rho0)
+    t_grid = (2.0 * params.tau) * grid
+    out = np.empty((n, grid.size, 3))
+    for start, amps, owner, time in _blocks(params.a, params.tau, t_max, n, seed):
+        out[start : start + amps.shape[0]] = _evolve(amps, owner, time, b0, t_grid)
+    return out
+
+
 def ensemble_average(
     params: ModelParams, rho0, grid, n_trajectories: int, seed: int
 ) -> EnsembleResult:
-    """Average N independently seeded trajectories on a shared nu grid.
+    """Average N trajectories drawn by the block sampler on a shared nu grid.
 
-    Deterministic for fixed (seed, N, grid): stream i is derived from
-    (seed, i) and the reduction runs in index order.
+    Deterministic for fixed (seed, N, grid) within one contract version:
+    the streams are keyed by (seed, block) and the reduction runs in index
+    order.
     """
     n = int(n_trajectories)
     if n < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
     grid = _nu_grid(grid)
-    # an all-zero grid still needs paths with a positive horizon
-    t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
-    rngs = (trajectory_rng(seed, i) for i in range(n))
-    trajectories = [tuple(sample_path(params.tau, a, t_max, rng) for a in params.a) for rng in rngs]
-    acc = _evolve(trajectories, linalg.density_to_bloch(rho0), (2.0 * params.tau) * grid)
+    acc = _trajectories(params, rho0, grid, n, seed)
     mean = acc.mean(axis=0)
-    stderr = acc.std(axis=0, ddof=1) / math.sqrt(n)
+    # acc.std(axis=0, ddof=1) bit for bit, in place of a second (n, m, 3) array
+    acc -= mean
+    acc *= acc
+    stderr = np.sqrt(acc.sum(axis=0) / (n - 1)) / math.sqrt(n)
     return EnsembleResult(
-        grid=grid, mean_bloch=mean, stderr=stderr, n_trajectories=n, seed=int(seed)
+        grid=grid,
+        mean_bloch=mean,
+        stderr=stderr,
+        n_trajectories=n,
+        seed=int(seed),
+        contract_version=CONTRACT_VERSION,
     )
 
 
@@ -246,15 +317,22 @@ def signal_samples(tau: float, a: float, times, n_paths: int, seed: int) -> np.n
     """Matrix of telegraph signal values, one row per sampled path.
 
     Convenience for statistical checks (zero mean, exponential
-    autocorrelation a^2 exp(-|dt|/tau)); uses the same path sampler and
-    per-index streams as the ensemble.
+    autocorrelation a^2 exp(-|dt|/tau)); draws axis 1 of the ensemble's
+    block sampler, so the checks test the oracle's own noise.
     """
     times = np.asarray(times, dtype=float)
     if not (times.size and np.all((times >= 0.0) & (times < math.inf))):
         raise ValueError("times must be non-empty, finite and >= 0")
-    t_max = float(np.max(times)) or tau
-    out = np.empty((int(n_paths), times.size))
-    for i in range(int(n_paths)):
-        path = sample_path(tau, a, t_max, trajectory_rng(seed, i))
-        out[i] = path.values(times)
+    t_max = float(np.max(times)) or float(tau)
+    order = np.argsort(times, kind="stable")
+    m = times.size
+    out = np.empty((int(n_paths), m))
+    for start, amps, owner, flips in _blocks((a, 0.0, 0.0), float(tau), t_max, out.shape[0], seed):
+        size = amps.shape[0]
+        # flips <= t per path: bin each flip at the first sorted time it
+        # does not exceed, then accumulate along the sorted times
+        first = np.searchsorted(times[order], flips, side="left")
+        hist = np.bincount(owner // 3 * (m + 1) + first, minlength=size * (m + 1))
+        parity = np.cumsum(hist.reshape(size, m + 1)[:, :m], axis=1) % 2
+        out[start : start + size, order] = np.where(parity == 0, amps[:, :1], -amps[:, :1])
     return out

@@ -154,6 +154,11 @@ class TestMcValidate:
         se_cols = [header.index(f"mc_se{k}") for k in (1, 2, 3)]
         assert np.all(rows[:, se_cols] == 0.0)
 
+    @pytest.mark.parametrize("n", ["1", "400"])
+    def test_json_meta_reports_contract_version(self, capsys, n):
+        _, out, _ = run(capsys, *self.ARGS, "--trajectories", n, "--format", "json")
+        assert json.loads(out)["meta"]["contract_version"] == 2
+
     def test_zero_trajectories_usage_error(self, capsys):
         code, _, err = run(capsys, "mc-validate", "--trajectories", "0")
         assert code == 2
