@@ -33,8 +33,8 @@ __all__ = [
 
 # Negative xi values no larger than this in magnitude are clamped to zero
 # before taking square roots (roundoff at a CP boundary); anything more
-# negative is a genuine CP failure.
-KRAUS_CLAMP = 1e-10
+# negative is a genuine CP failure, as is_cp counts it.
+KRAUS_CLAMP = positivity.CP_TOLERANCE
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -67,6 +67,10 @@ class KrausSet:
     """
 
     def __init__(self, weights, basis_indices):
+        if len(weights) != len(basis_indices):
+            raise ValueError(
+                f"got {len(weights)} Kraus weights for {len(basis_indices)} basis indices"
+            )
         ops = []
         kept_w = []
         kept_i = []

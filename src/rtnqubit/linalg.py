@@ -100,7 +100,7 @@ def hermitian_eigenvalues(matrix, atol: float = HERMITICITY_TOL) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > atol:
+    if not defect <= atol:  # a NaN entry or tolerance fails too
         raise ValueError(f"matrix is not Hermitian: max |M - M^+| = {defect:.3e}")
     return np.linalg.eigvalsh(m)
 

@@ -24,8 +24,10 @@ reduced in index order, so a fixed (seed, N, grid) gives bit-identical
 results within one contract version.  The trajectories of an ensemble are
 evolved together, in one loop over their merged flip-and-grid timelines,
 and each takes exactly the rotations, in the same order, that it would
-take alone.  ``trajectory_rng`` and ``sample_path`` draw one path at a time
-from a per-(seed, index) stream, a different stream family from the blocks.
+take alone.  A step of zero length is an identity rotation, and whether
+the field lies along one axis is decided once per ensemble.
+``trajectory_rng`` and ``sample_path`` draw one path at a time from a
+per-(seed, index) stream, a different stream family from the blocks.
 """
 
 from __future__ import annotations
@@ -106,27 +108,21 @@ def sample_path(tau: float, a: float, t_max: float, rng: np.random.Generator) ->
     return TelegraphPath(amplitude=amplitude, flip_times=np.array(flips), tau=tau, t_max=t_max)
 
 
-def _rotate(b, axis, angle):
-    # Rotation of Bloch vectors b about unit axes k by angles, one array per
-    # component.  Axis-aligned fields are special-cased so the component
-    # along the field is copied unchanged (an exact constant of the motion;
-    # tests rely on bit-exact conservation), else Rodrigues' formula.  The
-    # case depends only on which couplings are nonzero: one per model.
-    bx, by, bz = b
-    kx, ky, kz = axis
+def _rotate(b, axis, angle, i):
+    # Rotates Bloch vectors b (3, n) in place about unit axes by angles.  A
+    # field along axis i leaves b[i] untouched (an exact constant of the
+    # motion, which tests rely on); any other field takes Rodrigues' formula.
     c = np.cos(angle)
     s = np.sin(angle)
-    if not (ky.any() or kz.any()):
-        s *= kx
-        return (bx, by * c - bz * s, bz * c + by * s)
-    if not (kx.any() or kz.any()):
-        s *= ky
-        return (bx * c + bz * s, by, bz * c - bx * s)
-    if not (kx.any() or ky.any()):
-        s *= kz
-        return (bx * c - by * s, by * c + bx * s, bz)
+    if i is not None:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s *= axis[i]
+        b[j], b[k] = b[j] * c - b[k] * s, b[k] * c + b[j] * s
+        return
+    bx, by, bz = b
+    kx, ky, kz = axis
     dot = (kx * bx + ky * by + kz * bz) * (1.0 - c)
-    return (
+    b[:] = (
         bx * c + (ky * bz - kz * by) * s + kx * dot,
         by * c + (kz * bx - kx * bz) * s + ky * dot,
         bz * c + (kx * by - ky * bx) * s + kz * dot,
@@ -148,17 +144,22 @@ def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
     flip j (in any order) flips axis ``owner[j] % 3`` of trajectory
     ``owner[j] // 3`` at ``time[j]``.  Timeline column i holds trajectory
     i's flips up to the last grid time and the grid times, a flip first at
-    a tie; shorter columns end with repeats of the last grid row, which
-    change nothing.  Each step rotates every trajectory about its field up
-    to the step's time, then flips axis component ``kind`` < 3 or records
-    grid row ``row`` (kind 3), so each trajectory takes the rotations it
-    would take alone.
+    a tie; shorter columns end with repeats of the last grid row.  Each step
+    rotates every trajectory about its field up to the step's time (a step
+    of zero length is an identity rotation: only the sign of a zero may
+    change), then flips axis component ``kind`` < 3 or records grid row
+    ``row`` (kind 3), so each trajectory takes the rotations it would take
+    alone.  Every trajectory has the same nonzero couplings at every step,
+    so whether the field lies along one axis ``i`` is decided once.
     """
     n, m, t_end = amps.shape[0], t_grid.size, t_grid[-1]
     g = np.sqrt((amps * amps).sum(axis=1))
     if not np.all(g < math.inf):
         raise ValueError("field magnitude overflows: a1^2 + a2^2 + a3^2 is not finite")
     axis = amps.T / np.where(g > 0.0, g, 1.0)
+    aligned = np.flatnonzero(axis.any(axis=1))
+    i = int(aligned[0]) if aligned.size == 1 else None
+    flip = 1.0 - 2.0 * np.eye(4, 3)  # axis signs by kind: 0-2 flip that axis, 3 none
     keep = np.flatnonzero(time <= t_end)
     keep = keep[np.lexsort((time[keep], owner[keep] // 3))]  # stable: axis order at ties
     time, col = time[keep], owner[keep] // 3
@@ -173,9 +174,8 @@ def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
     b = np.repeat(b0[:, None], n, axis=1)
     out, t_cur = np.empty((n, m, 3)), np.zeros(n)
     for t, kind, row in zip(times, kinds, rows):
-        turn = (g > 0.0) & (t > t_cur)
-        b = np.where(turn, _rotate(b, axis, 2.0 * g * (t - t_cur)), b)
-        axis *= np.where(np.arange(3)[:, None] == kind, -1.0, 1.0)
+        _rotate(b, axis, 2.0 * g * (t - t_cur), i)
+        axis *= flip[kind].T
         t_cur, r = t, kind == 3
         out[r, row[r]] = b[:, r].T
     return out

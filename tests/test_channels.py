@@ -91,6 +91,10 @@ class TestKrausConstruction:
         with pytest.raises(ValueError, match="nu must be >= 0"):
             kraus_from_params(ModelParams(a=(0.4, 0.3, 1.2), tau=0.7), math.nan)
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="2 Kraus weights for 1 basis indices"):
+            KrausSet(weights=(0.5, 0.5), basis_indices=(1,))
+
     def test_construction_succeeds_iff_map_is_cp(self):
         # a CP verdict means the Kraus form exists at every scanned time,
         # and a negative verdict means it fails at the witness

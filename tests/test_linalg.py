@@ -156,6 +156,14 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(bell_projector()), [0, 0, 0, 1], atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "matrix, kwargs",
+        [([[math.nan, 0.0], [0.0, 1.0]], {}), ([[0.0, 1.0], [0.0, 0.0]], {"atol": math.nan})],
+    )
+    def test_nan_fails_hermiticity_check(self, matrix, kwargs):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(matrix, **kwargs)
+
     def test_sorted_ascending(self):
         for _ in range(50):
             ev = hermitian_eigenvalues(random_hermitian(RNG, 4))

@@ -102,7 +102,8 @@ def evolve_reference(paths, rho0, grid):
 
 
 # (couplings, nu grid): every axis-aligned rotation case, the generic case,
-# zero field, repeated grid points, a one-point grid and an all-zero grid
+# zero field, repeated grid points (also on one axis, where the aligned
+# rotation takes zero-length steps), a one-point grid and an all-zero grid
 REFERENCE_CASES = {
     "x": ((1.3, 0.0, 0.0), np.linspace(0.0, 3.0, 31)),
     "y": ((0.0, 0.7, 0.0), np.linspace(0.0, 4.0, 17)),
@@ -111,6 +112,7 @@ REFERENCE_CASES = {
     "xyz": ((0.9, 0.4, 1.7), np.linspace(0.0, 3.0, 25)),
     "zero field": ((0.0, 0.0, 0.0), np.linspace(0.0, 2.0, 5)),
     "repeated points": ((0.6, 1.1, 0.3), np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.2, 2.0, 2.0])),
+    "repeated points, z": ((0.0, 0.0, 1.2), np.array([0.0, 0.0, 0.5, 0.5, 1.2, 2.0, 2.0])),
     "one point": ((0.6, 1.1, 0.3), np.array([1.7])),
     "all-zero grid": ((0.6, 0.0, 0.3), np.zeros(3)),
 }
@@ -286,15 +288,18 @@ class TestEvolveTrajectory:
 
     def test_flips_at_grid_times_match_reference(self):
         # tau = 0.5 makes t = nu: flips at 0, at interior grid times (two
-        # axes at once at t = 1), at the last grid time and between points
+        # axes at once at t = 1), at the last grid time and between points;
+        # in the second triple the flips of the zero couplings leave the
+        # field on axis 2
         grid = np.linspace(0.0, 2.0, 9)
-        paths = make_paths(
-            [0.9, -0.6, 1.4], [[0.5, 1.0, 1.3], [1.0, 1.75], [0.0, 0.25, 2.0]], tau=0.5, t_max=2.5
-        )
-        rho0 = bloch_to_density([0.3, -0.5, 0.6])
-        assert np.array_equal(
-            evolve_trajectory(paths, rho0, grid), evolve_reference(paths, rho0, grid)
-        )
+        flips = [[0.5, 1.0, 1.3], [1.0, 1.75], [0.0, 0.25, 2.0]]
+        cases = (([0.9, -0.6, 1.4], [0.3, -0.5, 0.6]), ([0.0, -2.6, 0.0], [0.3, -0.45, 0.6]))
+        for amps, b0 in cases:
+            paths = make_paths(amps, flips, tau=0.5, t_max=2.5)
+            rho0 = bloch_to_density(b0)
+            assert np.array_equal(
+                evolve_trajectory(paths, rho0, grid), evolve_reference(paths, rho0, grid)
+            )
 
     def test_zero_amplitudes_keep_state(self):
         paths = make_paths([0.0, 0.0, 0.0], [[1.0], [2.0], [0.5]])
