@@ -193,7 +193,10 @@ def _emit(cfg: dict, meta: dict, columns: list, rows: list, verdict: str | None 
         text = "\n".join(lines) + "\n"
 
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
+        try:
+            Path(cfg["out"]).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {cfg['out']!r}: {exc}") from exc
         if verdict:
             print(verdict)
     else:

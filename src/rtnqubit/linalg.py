@@ -116,8 +116,8 @@ def is_density_matrix(rho, atol: float = 1e-12) -> bool:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         return False
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    try:
+        eigs = hermitian_eigenvalues(rho, atol)  # a NaN entry fails Hermiticity
+    except ValueError:
         return False
-    if abs(np.trace(rho) - 1.0) > atol:
-        return False
-    return float(np.min(np.linalg.eigvalsh(rho))) >= -atol
+    return bool(abs(np.trace(rho) - 1.0) <= atol and eigs[0] >= -atol)

@@ -88,6 +88,9 @@ class TestKrausConstruction:
         for w in (-0.1, math.nan):
             with pytest.raises(ValueError, match="Kraus weight must be >= 0"):
                 KrausSet(weights=(w, 1.1), basis_indices=(1, 0))
+        # a zero weight drops its operator but does not excuse a bad index
+        with pytest.raises(ValueError, match="Pauli index must be 0, 1, 2 or 3, got 7"):
+            KrausSet(weights=(0.0, 1.0), basis_indices=(7, 0))
         with pytest.raises(ValueError, match="nu must be >= 0"):
             kraus_from_params(ModelParams(a=(0.4, 0.3, 1.2), tau=0.7), math.nan)
 
@@ -116,6 +119,11 @@ class TestApplyChannel:
         ks = KrausSet(weights=(1.0,), basis_indices=(0,))
         rho = random_state(RNG)
         assert np.array_equal(apply_channel(ks, rho), rho)
+        # all weights zero: the empty set maps every state to zero
+        empty = KrausSet(weights=(0.0, 0.0), basis_indices=(1, 0))
+        assert len(empty) == 0
+        assert np.array_equal(apply_channel(empty, rho), np.zeros((2, 2)))
+        assert empty.completeness_defect() == 1.0
 
     def test_agrees_with_propagator(self):
         # two independent routes to the same state: Kraus conjugation vs
@@ -135,6 +143,8 @@ class TestApplyChannel:
         forward = sum(op @ rho @ op.conj().T for op in ks.operators)
         reversed_order = sum(op.conj().T @ rho @ op for op in ks.operators)
         assert np.array_equal(forward, reversed_order)
+        # the batched conjugation is the per-operator sum, bit for bit
+        assert np.array_equal(apply_channel(ks, rho), forward)
 
     def test_output_is_valid_state(self):
         for _ in range(200):

@@ -288,6 +288,13 @@ class TestConfigAndOutput:
         assert header[0] == "nu"
         assert rows.shape[1] == 5
 
+    def test_unwritable_out_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "evolve", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cannot write output file" in err
+
     def test_csv_uses_round_trip_floats(self, capsys):
         _, out, _ = run(capsys, "evolve", "--bloch", "0.1,0.2,0.3", "--steps", "3")
         _, rows = parse_csv(out)

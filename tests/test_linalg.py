@@ -216,3 +216,9 @@ class TestIsDensityMatrix:
 
     def test_rejects_non_hermitian(self):
         assert not is_density_matrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 0)])
+    def test_rejects_nan_entry(self, entry):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[entry] = math.nan
+        assert not is_density_matrix(rho)
