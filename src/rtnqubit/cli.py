@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Emits plot-ready tables (CSV or JSON) for the library's analyses: Bloch
-evolution curves, CP eigenvalue scans, phase-boundary bisection, Monte
+evolution curves, CP eigenvalue scans, the phase-boundary search, Monte
 Carlo validation, the white-noise limit and the Volterra cross-check.
 No plotting dependencies; every command is deterministic given its
 configuration (including the seed).

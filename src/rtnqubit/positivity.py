@@ -24,6 +24,13 @@ the wider one).  Brackets are rescanned only while such a dip, still above
 machine epsilon, could lower the witness.  The bound does not yet cover a
 dip away from a grid minimum, nor the nu = 0 end of the scan.
 
+Along a ray of couplings the deepest interior dip m(a tau) of min_j xi is
+positive on the CP side and negative past the boundary (the global minimum
+is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The
+boundary search steps toward the root of m by Newton steps, safeguarded by
+bisection, and certifies its result with two scans delta = 1e-6 max(1, b)
+apart; a direction still CP at a tau = 1e4 reports no boundary.
+
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
 oscillation frequency not exceed pi / ln 3 ~= 2.8596.  In the white-noise
@@ -72,6 +79,12 @@ _REFINE_BATCH = 4096
 _EPS = float(np.finfo(float).eps)
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
 _CRITICAL_CROSSING = 2.289281414562872
+# The boundary search refines a positive dip until the dip bound proves it
+# positive to this relative margin, so that its Newton steps see the dip's
+# value, not the grid's.
+_DIP_MARGIN = 1e-6
+# Couplings a*tau scanned when no Newton step finds a crossing below the first.
+_DECADES = (10.0, 100.0, 1000.0, 1e4)
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell projector.
@@ -140,12 +153,15 @@ def scan_horizon(params: ModelParams) -> float:
 
     and components with kappa_i = 0 are identically 1 but then the two
     partner profiles coincide and cancel in the dangerous combinations.
-    Once every decaying envelope is below 1/3, all xi_j > 0; the returned
-    horizon is that crossing time plus a unit margin.
+    So is a component with (4 kappa_i tau)^2 below half an ulp of 1
+    (kappa_i tau < ~2e-9): mu^2 rounds to -1, mt to 1, and its profile
+    evaluates to exactly 1.  Once every decaying envelope is below 1/3,
+    all xi_j > 0; the returned horizon is that crossing time plus a unit
+    margin.
     """
     horizon = 0.0
     for kt, musq in zip(params.kappa_taus, params.mu_squared):
-        if kt == 0.0:
+        if kt == 0.0 or musq == -1.0:
             continue
         if abs(4.0 * kt - 1.0) < telegraph.CRITICAL_SERIES_WINDOW:
             cross = _CRITICAL_CROSSING
@@ -180,6 +196,58 @@ def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
     return np.concatenate([dense, tail])
 
 
+def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, int, float]:
+    """The deepest interior dip of min_j xi on [0, horizon]: (value, j, nu).
+
+    The running minimum starts at the lowest interior grid minimum, or at
+    the lowest grid value if that is negative (+inf when there is neither),
+    never at the nu = 0 end, where xi_1..3 vanish exactly.  A bracket is
+    rescanned while its hidden dip is above machine epsilon, could lower the
+    running minimum and exceeds ``margin`` times the bracket's lowest value.
+    A negative bracket is therefore refined as far as the running minimum
+    needs, and a positive one until the dip bound proves it positive to
+    the relative ``margin``: :func:`is_cp` passes 1, which proves
+    positivity and no more, the boundary search a tight margin, which
+    makes the value accurate enough for its Newton steps.
+    """
+    nus = _scan_grid(params, horizon)
+    table = xi(nus, params)
+    dip = float(np.sum(params.kappa_taus**2))
+    cells = np.diff(nus)
+    hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
+    inner = table[:, 1:-1]
+    minima = inner < np.minimum(table[:, :-2], table[:, 2:])
+    # Candidates in (j, i) order, so the first lowest one wins as in argmin.
+    rows, cols = np.nonzero(minima | (inner < 0.0))
+    vals, gap = inner[rows, cols], hidden[cols]
+    worst_val, worst_j, worst_nu = math.inf, 0, 0.0
+    if vals.size:
+        b = int(np.argmin(vals))
+        worst_val, worst_j, worst_nu = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
+
+    # Rescan a bracket while its hidden dip could lower the running minimum.
+    keep = minima[rows, cols] & (vals - gap < worst_val) & (gap > margin * vals) & (gap > _EPS)
+    rows, cols = rows[keep], cols[keep]
+    for start in range(0, rows.size, _REFINE_BATCH):
+        r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
+        lo, hi = nus[c], nus[c + 2]
+        while r.size:
+            pts, k = np.linspace(lo, hi, _REFINE_POINTS, axis=1), np.arange(r.size)
+            vals = xi(pts, params)[r, k]
+            m = np.argmin(vals, axis=1)
+            low = vals[k, m]
+            b = int(np.argmin(low))
+            if low[b] < worst_val:
+                worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
+            hidden = dip * ((hi - lo) / (_REFINE_POINTS - 1)) ** 2
+            keep = np.nonzero(
+                (low - hidden < worst_val) & (hidden > margin * low) & (hidden > _EPS)
+            )[0]
+            m = np.clip(m[keep], 1, _REFINE_POINTS - 2)
+            r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
+    return worst_val, worst_j, worst_nu
+
+
 def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     """Decide complete positivity of the map with parameters ``params``.
 
@@ -196,41 +264,11 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     horizon = float(nu_max) if nu_max is not None else scan_horizon(params)
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"scan horizon must be finite and > 0, got {horizon}")
-    nus = _scan_grid(params, horizon)
-    table = xi(nus, params)
-    j, i = np.unravel_index(np.argmin(table), table.shape)
-    worst_val, worst_j, worst_nu = float(table[j, i]), int(j), float(nus[i])
-
-    # Rescan a bracket while its hidden dip could lower the witness.
-    dip = float(np.sum(params.kappa_taus**2))
-    cells = np.diff(nus)
-    hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
-    inner = table[:, 1:-1]
-    rows, cols = np.nonzero(
-        (inner < np.minimum(table[:, :-2], table[:, 2:]))
-        & (inner - hidden < worst_val)
-        & (hidden > _EPS)
-    )
-    for start in range(0, rows.size, _REFINE_BATCH):
-        r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
-        lo, hi = nus[c], nus[c + 2]
-        while r.size:
-            pts, k = np.linspace(lo, hi, _REFINE_POINTS, axis=1), np.arange(r.size)
-            vals = xi(pts, params)[r, k]
-            m = np.argmin(vals, axis=1)
-            low = vals[k, m]
-            b = int(np.argmin(low))
-            if low[b] < worst_val:
-                worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
-            hidden = dip * ((hi - lo) / (_REFINE_POINTS - 1)) ** 2
-            keep = np.nonzero((low - hidden < worst_val) & (hidden > _EPS))[0]
-            m = np.clip(m[keep], 1, _REFINE_POINTS - 2)
-            r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
-
-    if worst_val < -CP_TOLERANCE:
+    value, j, nu = _scan(params, horizon, 1.0)
+    if value < -CP_TOLERANCE:
         return CpVerdict(
             is_cp=False,
-            witness=CpWitness(nu=worst_nu, index=worst_j + 1, value=worst_val),
+            witness=CpWitness(nu=nu, index=j + 1, value=value),
             horizon=horizon,
         )
     return CpVerdict(is_cp=True, witness=None, horizon=horizon)
@@ -240,12 +278,24 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     """Locate the CP boundary along a coupling direction, in units of a*tau.
 
     The direction is rescaled so its largest component is 1; the returned
-    value is the boundary coupling times tau for that largest component
-    (so shape (1, 1, 0) reproduces the a*tau ~= 0.8 threshold), to within
-    1e-3.  Bisection starts from a*tau in [0.01, 10], whose lower end is CP
-    (all profiles are damped there: kappa_i tau <= sqrt(2)/100 < 1/4), and
-    expands the upper end a decade at a time; a map that stays CP up to
-    a*tau = 1e4 (dephasing-type) has no boundary, and None is returned.
+    value b is the coupling times tau of that largest component (so shape
+    (1, 1, 0) gives the a*tau ~= 0.8095 threshold).  It is certified by
+    two scans: the map is CP at b and not CP at b + delta, with
+    delta = 1e-6 max(1, b).
+
+    The search is a safeguarded Newton iteration on m(a*tau), the deepest
+    interior dip of min_j xi, which is positive on the CP side and negative
+    past the boundary.  It starts just inside the a*tau where
+    :func:`sufficient_condition` is tight, sqrt(mu*^2 + 1) / (4 max kappa_i)
+    (kappa_i tau of the rescaled direction at a*tau = 1), and steps from
+    the largest CP a*tau found, with the slope of xi at the dip's witness
+    (a central difference along the ray; by the envelope theorem that is
+    the slope of m).  A step leaving the [CP, not CP] bracket is replaced
+    by bisection; a step below delta by the final scan at b + delta.  When
+    no step toward a crossing below a*tau = 10 exists, a*tau = 10, 100,
+    1000 and 1e4 are scanned in turn, and the search resumes from the CP
+    end of the first decade that is not CP.  A map CP at all four
+    (one-axis, dephasing-type noise) has no boundary, and None is returned.
     """
     shape = np.asarray(shape, dtype=float)
     if shape.shape != (3,) or not np.all(np.isfinite(shape)) or np.any(shape < 0):
@@ -258,23 +308,59 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     if not 0.0 < tau < math.inf:
         raise ValueError(f"flip timescale must be finite and > 0, got {tau}")
 
-    def cp_at(a_tau: float) -> bool:
-        return is_cp(ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)).is_cp
+    def at(a_tau: float) -> ModelParams:
+        return ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)
 
-    lo, hi = 0.01, 10.0
-    while cp_at(hi):
-        hi *= 10.0
-        if hi > 1e4:
-            return None
-    if hi > 10.0:
-        lo = hi / 10.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if cp_at(mid):
-            lo = mid
+    def dip(a_tau: float) -> tuple[float, int, float]:
+        params = at(a_tau)
+        return _scan(params, scan_horizon(params), _DIP_MARGIN)
+
+    def newton(a_tau: float, found: tuple[float, int, float]) -> float:
+        # Where the tangent of m at a_tau crosses zero; inf if it never does.
+        value, j, nu = found
+        if value == math.inf:
+            return math.inf
+        h = 1e-5 * a_tau
+        slope = float(xi(nu, at(a_tau + h))[j] - xi(nu, at(a_tau - h))[j]) / (2.0 * h)
+        return a_tau - value / slope if slope < 0.0 else math.inf
+
+    # a*tau = 0 is the identity map: CP, with no interior dip.
+    lo, lo_dip, hi, final = 0.0, (math.inf, 0, 0.0), math.inf, False
+    if np.count_nonzero(unit) > 1:
+        # Where the sufficient condition is tight, moved inside it by far
+        # more than the rounding of mu.
+        kappa_max = float(np.max(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
+        b = math.sqrt(MU_STAR_BOUND**2 + 1.0) / (4.0 * kappa_max) * (1.0 - 1e-12)
+    else:
+        # One coupling alone leaves two xi_j at 0 and two at (1 -+ Lambda)/2
+        # with |Lambda| <= 1: no dip can cross, so go to the decade test.
+        b = math.inf
+    while True:
+        if hi == math.inf and b >= _DECADES[0]:
+            # No step toward a crossing below the first decade: the first
+            # decade that is not CP becomes hi, the one before it lo.
+            for hi in _DECADES:
+                found = dip(hi)
+                if found[0] < -CP_TOLERANCE:
+                    break
+                lo, lo_dip = hi, found
+            else:
+                return None
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            found = dip(b)
+            if found[0] >= -CP_TOLERANCE:
+                lo, lo_dip = b, found
+            elif final:
+                return lo
+            else:
+                hi = b
+        delta = 1e-6 * max(1.0, lo)
+        b = newton(lo, lo_dip)
+        if hi < math.inf and b >= hi:
+            b = 0.5 * (lo + hi)
+        final = b < lo + delta
+        if final:
+            b = lo + delta
 
 
 def sufficient_condition(params: ModelParams) -> bool:

@@ -187,6 +187,14 @@ class TestIsCp:
             h = scan_horizon(random_params(RNG))
             assert np.isfinite(h) and h >= 1.0
 
+    def test_numerically_constant_profile_leaves_horizon(self):
+        # (4 kappa tau)^2 = 1.6e-17 rounds away next to 1: that profile
+        # evaluates to exactly 1, like a zero coupling's
+        tiny = ModelParams(a=(1.0, 1e-9, 0.0), tau=1.0)
+        assert np.all(relaxation_profiles(np.linspace(0.0, 50.0, 11), tiny)[0] == 1.0)
+        assert scan_horizon(tiny) == scan_horizon(ModelParams(a=(1.0, 0.0, 0.0), tau=1.0))
+        assert is_cp(tiny).is_cp
+
     def test_fuzz_against_brute_force(self):
         rng = np.random.default_rng(271828)
         for _ in range(30):
@@ -280,15 +288,27 @@ class TestCriticalFlipParameter:
     def test_boundary_independent_of_tau(self):
         b1 = critical_flip_parameter((1.0, 1.0, 0.0), tau=0.5)
         b2 = critical_flip_parameter((1.0, 1.0, 0.0), tau=2.0)
-        assert b1 == pytest.approx(b2, abs=2e-3)
+        assert b1 == pytest.approx(b2, abs=1e-6)
 
-    def test_lower_bracket_end_is_cp(self):
-        # bisection takes a*tau = 0.01 as CP without scanning it
+    def test_lower_bracket_end_is_cp(self, monkeypatch):
+        # the lower end of the first bracket is the search's start point,
+        # just inside the sufficient condition; the search scans it
+        scanned = []
+
+        def recording_scan(params, horizon, margin):
+            scanned.append(params)
+            return scan(params, horizon, margin)
+
+        scan = positivity._scan
+        monkeypatch.setattr(positivity, "_scan", recording_scan)
         rng = np.random.default_rng(5)
         shapes = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0)] + [rng.uniform(0, 1, 3) for _ in range(20)]
         for shape in shapes:
-            unit = np.asarray(shape) / max(shape)
-            p = ModelParams(a=tuple(0.01 * unit), tau=1.0)
+            scanned.clear()
+            critical_flip_parameter(shape, tau=1.0)
+            p = scanned[0]
+            mu_max = math.sqrt(float(np.max(p.mu_squared)))
+            assert mu_max == pytest.approx(MU_STAR_BOUND, rel=1e-11)
             assert sufficient_condition(p) and is_cp(p).is_cp
 
     def test_dephasing_has_no_boundary(self):
@@ -311,7 +331,45 @@ class TestCriticalFlipParameter:
         assert mu_max >= MU_STAR_BOUND - 0.01
         # for three equal frequencies the bound is tight, so the boundary
         # lands where max mu equals pi/ln 3
-        assert boundary == pytest.approx(math.sqrt((MU_STAR_BOUND**2 + 1.0) / 32.0), abs=2e-3)
+        assert boundary == pytest.approx(math.sqrt((MU_STAR_BOUND**2 + 1.0) / 32.0), abs=1e-6)
+
+    def test_boundary_certified_to_delta(self):
+        # CP at b (and at b - delta), not CP at b + delta, delta = 1e-6 max(1, b)
+        rng = np.random.default_rng(31)
+        for k in range(40):
+            shape = rng.uniform(0.05, 1.0, 3)
+            if k % 2:
+                shape[rng.integers(3)] = 0.0
+            tau = rng.uniform(0.5, 2.0)
+            b = critical_flip_parameter(shape, tau)
+            delta = 1e-6 * max(1.0, b)
+            unit = shape / shape.max()
+
+            def cp_at(a_tau):
+                return is_cp(ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)).is_cp
+
+            assert cp_at(b) and cp_at(b - delta) and not cp_at(b + delta), (shape, tau, b)
+
+    @pytest.mark.parametrize(
+        "shape, most", [((1.0, 1.0, 0.0), 8), ((1.0, 0.0, 0.0), 4), ((0.0, 0.0, 1.0), 4)]
+    )
+    def test_scan_count(self, monkeypatch, shape, most):
+        # a fall-back to bisection (15 scans) or a Newton chase before the
+        # decade test would exceed these counts
+        calls = []
+
+        def counting_scan(*args):
+            calls.append(args)
+            return scan(*args)
+
+        scan = positivity._scan
+        monkeypatch.setattr(positivity, "_scan", counting_scan)
+        critical_flip_parameter(shape, tau=1.0)
+        assert len(calls) <= most
+
+    def test_returns_builtin_float(self):
+        assert type(critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)) is float
+        assert type(critical_flip_parameter((1.0, 0.04, 0.0), tau=1.0)) is float
 
 
 class TestSufficientCondition:
