@@ -27,9 +27,10 @@ dip away from a grid minimum, nor the nu = 0 end of the scan.
 Along a ray of couplings the deepest interior dip m(a tau) of min_j xi is
 positive on the CP side and negative past the boundary (the global minimum
 is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The
-boundary search steps toward the root of m by Newton steps, safeguarded by
-bisection, and certifies its result with two scans delta = 1e-6 max(1, b)
-apart; a direction still CP at a tau = 1e4 reports no boundary.
+boundary search steps toward m = -CP_TOLERANCE, where the verdict flips,
+by Newton steps safeguarded by bisection, and certifies its result with two
+scans delta = 1e-6 max(1, b) apart; a direction still CP at a tau = 1e4
+reports no boundary.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -197,13 +198,14 @@ def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
 
 
 def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, int, float]:
-    """The deepest interior dip of min_j xi on [0, horizon]: (value, j, nu).
+    """The deepest dip of min_j xi on (0, horizon]: (value, j, nu).
 
-    The running minimum starts at the lowest interior grid minimum, or at
-    the lowest grid value if that is negative (+inf when there is neither),
-    never at the nu = 0 end, where xi_1..3 vanish exactly.  A bracket is
-    rescanned while its hidden dip is above machine epsilon, could lower the
-    running minimum and exceeds ``margin`` times the bracket's lowest value.
+    The running minimum starts at the lowest grid value if that is
+    negative, the nu = horizon end included; otherwise at the lowest
+    interior grid minimum (+inf when there is none), not at the nu = 0 end,
+    where xi_1..3 vanish exactly.  A bracket is rescanned while its hidden
+    dip is above machine epsilon, could lower the running minimum and
+    exceeds ``margin`` times the bracket's lowest value.
     A negative bracket is therefore refined as far as the running minimum
     needs, and a positive one until the dip bound proves it positive to
     the relative ``margin``: :func:`is_cp` passes 1, which proves
@@ -216,17 +218,18 @@ def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, in
     cells = np.diff(nus)
     hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
     inner = table[:, 1:-1]
-    minima = inner < np.minimum(table[:, :-2], table[:, 2:])
-    # Candidates in (j, i) order, so the first lowest one wins as in argmin.
-    rows, cols = np.nonzero(minima | (inner < 0.0))
+    rows, cols = np.nonzero(inner < np.minimum(table[:, :-2], table[:, 2:]))
     vals, gap = inner[rows, cols], hidden[cols]
-    worst_val, worst_j, worst_nu = math.inf, 0, 0.0
-    if vals.size:
-        b = int(np.argmin(vals))
-        worst_val, worst_j, worst_nu = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
+    j, i = np.unravel_index(np.argmin(table), table.shape)
+    worst_val, worst_j, worst_nu = float(table[j, i]), int(j), float(nus[i])
+    if worst_val >= 0.0:
+        worst_val, worst_j, worst_nu = math.inf, 0, 0.0
+        if vals.size:
+            b = int(np.argmin(vals))
+            worst_val, worst_j, worst_nu = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
 
     # Rescan a bracket while its hidden dip could lower the running minimum.
-    keep = minima[rows, cols] & (vals - gap < worst_val) & (gap > margin * vals) & (gap > _EPS)
+    keep = (vals - gap < worst_val) & (gap > margin * vals) & (gap > _EPS)
     rows, cols = rows[keep], cols[keep]
     for start in range(0, rows.size, _REFINE_BATCH):
         r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
@@ -288,14 +291,15 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     past the boundary.  It starts just inside the a*tau where
     :func:`sufficient_condition` is tight, sqrt(mu*^2 + 1) / (4 max kappa_i)
     (kappa_i tau of the rescaled direction at a*tau = 1), and steps from
-    the largest CP a*tau found, with the slope of xi at the dip's witness
-    (a central difference along the ray; by the envelope theorem that is
-    the slope of m).  A step leaving the [CP, not CP] bracket is replaced
-    by bisection; a step below delta by the final scan at b + delta.  When
-    no step toward a crossing below a*tau = 10 exists, a*tau = 10, 100,
-    1000 and 1e4 are scanned in turn, and the search resumes from the CP
-    end of the first decade that is not CP.  A map CP at all four
-    (one-axis, dephasing-type noise) has no boundary, and None is returned.
+    the largest CP a*tau found toward m = -CP_TOLERANCE, with the slope of
+    xi at the dip's witness (a central difference along the ray; by the
+    envelope theorem that is the slope of m).  A step leaving the
+    [CP, not CP] bracket is replaced by bisection; a step below delta by
+    the final scan at b + delta.  When no step toward a crossing below
+    a*tau = 10 exists, a*tau = 10, 100, 1000 and 1e4 are scanned in turn,
+    and the search resumes from the CP end of the first decade that is not
+    CP.  A map CP at all four (one-axis, dephasing-type noise) has no
+    boundary, and None is returned.
     """
     shape = np.asarray(shape, dtype=float)
     if shape.shape != (3,) or not np.all(np.isfinite(shape)) or np.any(shape < 0):
@@ -316,13 +320,14 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
         return _scan(params, scan_horizon(params), _DIP_MARGIN)
 
     def newton(a_tau: float, found: tuple[float, int, float]) -> float:
-        # Where the tangent of m at a_tau crosses zero; inf if it never does.
+        # Where the tangent of m at a_tau reaches the verdict threshold
+        # -CP_TOLERANCE; inf if it never does.
         value, j, nu = found
         if value == math.inf:
             return math.inf
         h = 1e-5 * a_tau
         slope = float(xi(nu, at(a_tau + h))[j] - xi(nu, at(a_tau - h))[j]) / (2.0 * h)
-        return a_tau - value / slope if slope < 0.0 else math.inf
+        return a_tau - (value + CP_TOLERANCE) / slope if slope < 0.0 else math.inf
 
     # a*tau = 0 is the identity map: CP, with no interior dip.
     lo, lo_dip, hi, final = 0.0, (math.inf, 0, 0.0), math.inf, False

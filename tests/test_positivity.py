@@ -252,6 +252,19 @@ class TestIsCp:
         with pytest.raises(ValueError, match="scan horizon must be finite and > 0"):
             is_cp(ModelParams(a=(1.2, 1.2, 0.0), tau=1.0), nu_max=nu_max)
 
+    @pytest.mark.parametrize("nu_max", [0.4424, 0.4425])
+    def test_cut_horizon_ending_in_a_dip(self, nu_max):
+        # xi_4 first crosses -CP_TOLERANCE between nu = 0.4423 and 0.4424, so
+        # a scan cut just past it is negative only at its nu = nu_max end;
+        # that end still decides the verdict and is the witness
+        p = ModelParams(a=(1.2, 1.2, 0.0), tau=1.0)
+        assert is_cp(p, nu_max=0.4423).is_cp
+        verdict = is_cp(p, nu_max=nu_max)
+        assert not verdict.is_cp
+        end = float(xi(nu_max, p)[3])
+        assert verdict.witness == positivity.CpWitness(nu=nu_max, index=4, value=end)
+        assert end < -CP_TOLERANCE
+
 
 class TestDipBound:
     """The two facts the scan rests on."""
