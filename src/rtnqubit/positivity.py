@@ -30,7 +30,7 @@ is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The
 boundary search steps toward m = -CP_TOLERANCE, where the verdict flips,
 by Newton steps safeguarded by bisection, and certifies its result with two
 scans delta = 1e-6 max(1, b) apart; a direction still CP at a tau = 1e4
-reports no boundary.
+reports no boundary, and so, without a scan, does a one-axis direction.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -88,10 +88,11 @@ _DIP_MARGIN = 1e-6
 _DECADES = (10.0, 100.0, 1000.0, 1e4)
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
-# T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell projector.
-_CHOI_PAULI_TENSOR = np.stack(
+# T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
+# projector, stored flattened: row i holds the 16 entries of T_i.
+_CHOI_PAULI_ROWS = np.stack(
     [0.25 * np.kron(linalg.pauli(i), linalg.pauli(i).conj()) for i in range(4)]
-)
+).reshape(4, 16)
 
 
 def xi(nu, params: ModelParams) -> np.ndarray:
@@ -102,17 +103,18 @@ def xi(nu, params: ModelParams) -> np.ndarray:
     to 1 identically.
     """
     l1, l2, l3 = telegraph.relaxation_profiles(nu, params)
+    out = np.empty((4,) + l1.shape)
     # Grouped so that degenerate profiles cancel exactly: with a single
     # coupling (dephasing) two profiles are bitwise equal and the third is
     # exactly 1, making xi_1 and xi_2 exact zeros rather than 1e-16 noise.
-    return np.stack(
-        [
-            0.25 * ((1.0 - l3) + (l1 - l2)),
-            0.25 * ((1.0 - l3) - (l1 - l2)),
-            0.25 * ((1.0 + l3) - (l1 + l2)),
-            0.25 * ((1.0 + l3) + (l1 + l2)),
-        ]
-    )
+    edge, pair = 1.0 - l3, l1 - l2
+    out[0] = edge + pair
+    out[1] = edge - pair
+    edge, pair = 1.0 + l3, l1 + l2
+    out[2] = edge - pair
+    out[3] = edge + pair
+    out *= 0.25
+    return out
 
 
 def choi_matrix(params: ModelParams, nu: float) -> np.ndarray:
@@ -124,7 +126,7 @@ def choi_matrix(params: ModelParams, nu: float) -> np.ndarray:
     :func:`xi`, so the two stay independent routes to the same spectrum.
     """
     lams = np.concatenate(([1.0], telegraph.relaxation_profiles(float(nu), params)))
-    return np.tensordot(lams, _CHOI_PAULI_TENSOR, axes=1)
+    return np.dot(lams, _CHOI_PAULI_ROWS).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -298,8 +300,10 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     the final scan at b + delta.  When no step toward a crossing below
     a*tau = 10 exists, a*tau = 10, 100, 1000 and 1e4 are scanned in turn,
     and the search resumes from the CP end of the first decade that is not
-    CP.  A map CP at all four (one-axis, dephasing-type noise) has no
-    boundary, and None is returned.
+    CP; a map CP at all four has no boundary, and None is returned.
+
+    A direction with one nonzero component (dephasing-type noise) has no
+    boundary at any coupling, and None is returned without a scan.
     """
     shape = np.asarray(shape, dtype=float)
     if shape.shape != (3,) or not np.all(np.isfinite(shape)) or np.any(shape < 0):
@@ -311,6 +315,11 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     tau = float(tau)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"flip timescale must be finite and > 0, got {tau}")
+
+    if np.count_nonzero(unit) == 1:
+        # One coupling alone leaves two xi_j at 0 and two at (1 -+ Lambda)/2
+        # with |Lambda| <= 1: no dip can cross.
+        return None
 
     def at(a_tau: float) -> ModelParams:
         return ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)
@@ -331,15 +340,10 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 
     # a*tau = 0 is the identity map: CP, with no interior dip.
     lo, lo_dip, hi, final = 0.0, (math.inf, 0, 0.0), math.inf, False
-    if np.count_nonzero(unit) > 1:
-        # Where the sufficient condition is tight, moved inside it by far
-        # more than the rounding of mu.
-        kappa_max = float(np.max(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
-        b = math.sqrt(MU_STAR_BOUND**2 + 1.0) / (4.0 * kappa_max) * (1.0 - 1e-12)
-    else:
-        # One coupling alone leaves two xi_j at 0 and two at (1 -+ Lambda)/2
-        # with |Lambda| <= 1: no dip can cross, so go to the decade test.
-        b = math.inf
+    # Where the sufficient condition is tight, moved inside it by far more
+    # than the rounding of mu.
+    kappa_max = float(np.max(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
+    b = math.sqrt(MU_STAR_BOUND**2 + 1.0) / (4.0 * kappa_max) * (1.0 - 1e-12)
     while True:
         if hi == math.inf and b >= _DECADES[0]:
             # No step toward a crossing below the first decade: the first

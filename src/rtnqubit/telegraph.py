@@ -19,6 +19,11 @@ for kt > 1/4 it oscillates inside [-1, 1].  In all regimes |Lambda| <= 1,
 so single-qubit positivity is never lost; complete positivity is a
 separate question handled in :mod:`rtnqubit.positivity`.
 
+:func:`relaxation_profiles` evaluates the three profiles together, in one
+pass per regime present: each component keeps its own regime's formula
+(and so the bits of evaluating it alone), while the per-call cost is paid
+once per regime rather than once per component.
+
 In the white-noise limit (tau -> 0 with 2 a^2 tau fixed) each component
 decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
 """
@@ -80,10 +85,7 @@ class ModelParams:
     @property
     def kappas(self) -> np.ndarray:
         """kappa_i = sqrt(a_j^2 + a_k^2) for distinct i, j, k."""
-        a1, a2, a3 = self.a
-        return np.sqrt(
-            np.array([a2 * a2 + a3 * a3, a3 * a3 + a1 * a1, a1 * a1 + a2 * a2])
-        )
+        return np.array(_kappas(self.a))
 
     @property
     def kappa_taus(self) -> np.ndarray:
@@ -93,6 +95,17 @@ class ModelParams:
     def mu_squared(self) -> np.ndarray:
         """(4 kappa_i tau)^2 - 1; negative values mean imaginary frequency."""
         return (4.0 * self.kappa_taus) ** 2 - 1.0
+
+
+def _kappas(a) -> tuple[float, float, float]:
+    # math.sqrt is correctly rounded, as np.sqrt is: the same bits as an
+    # array computation, without its per-call cost.
+    a1, a2, a3 = a
+    return (
+        math.sqrt(a2 * a2 + a3 * a3),
+        math.sqrt(a3 * a3 + a1 * a1),
+        math.sqrt(a1 * a1 + a2 * a2),
+    )
 
 
 class Regime(enum.Enum):
@@ -140,30 +153,64 @@ def _kappa_tau(value) -> float:
     return kt
 
 
-def _profile(nu_arr: np.ndarray, kt: float) -> np.ndarray:
-    # The closed form on validated input, shaped like nu_arr (0-d included).
-    musq = (4.0 * kt) ** 2 - 1.0
-    if kt == 0.0:
-        out = np.ones_like(nu_arr)
-    elif abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
+def _profiles(nu_arr: np.ndarray, kts) -> np.ndarray:
+    # The closed form for each validated kappa*tau in kts on validated
+    # nu_arr; shape (len(kts),) + nu_arr.shape (0-d nu_arr included).  Each
+    # regime present is evaluated once for all of its components, their
+    # constants a column against nu, so every component keeps the formula
+    # (and the bits) of its own regime.
+    out = np.empty((len(kts),) + nu_arr.shape)
+    column = (-1,) + (1,) * nu_arr.ndim
+    ones, series, ringing, damped = [], [], [], []
+    for i, kt in enumerate(kts):
+        musq = (4.0 * kt) ** 2 - 1.0
+        if kt == 0.0:
+            ones.append(i)
+        elif abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
+            series.append((i, musq))
+        elif musq > 0.0:
+            ringing.append((i, math.sqrt(musq)))
+        else:
+            damped.append((i, math.sqrt(-musq)))
+    if ones:
+        out[ones] = 1.0
+    if series or ringing:
+        decay = np.exp(-nu_arr)
+    if series:
         # Series around the critical point mu = 0:
         #   Lambda = e^-nu [(1 + nu) - mu^2 nu^2/2 (1 + nu/3) + O(mu^4)]
         # valid for mu^2 of either sign; truncation error < 1e-10 inside
         # the window.
-        out = np.exp(-nu_arr) * (
+        rows, musq = zip(*series)
+        musq = np.array(musq).reshape(column)
+        out[list(rows)] = decay * (
             (1.0 + nu_arr) - 0.5 * musq * nu_arr**2 * (1.0 + nu_arr / 3.0)
         )
-    elif musq > 0.0:
-        mu = math.sqrt(musq)
-        out = np.exp(-nu_arr) * (np.cos(mu * nu_arr) + np.sin(mu * nu_arr) / mu)
-    else:
+    if ringing:
+        rows, mu = zip(*ringing)
+        mu = np.array(mu).reshape(column)
+        # decay * (cos + sin / mu), in place to hold fewer full-size arrays
+        phase = mu * nu_arr
+        wave = np.sin(phase)
+        wave /= mu
+        wave += np.cos(phase, out=phase)
+        wave *= decay
+        out[list(rows)] = wave
+    if damped:
         # Overdamped: e^-nu (cosh + sinh/mt) recast as a sum of two
         # decaying exponentials so large nu cannot overflow cosh.
-        mt = math.sqrt(-musq)
-        out = 0.5 * (1.0 + 1.0 / mt) * np.exp(-(1.0 - mt) * nu_arr) + 0.5 * (
-            1.0 - 1.0 / mt
-        ) * np.exp(-(1.0 + mt) * nu_arr)
-    return np.where(nu_arr == 0.0, 1.0, out)
+        # Constants per component in floats: bitwise equal to the same
+        # arithmetic on a column, and cheaper.
+        rows, mts = zip(*damped)
+        slow, fast, slow_rate, fast_rate = np.array(
+            [
+                (0.5 * (1.0 + 1.0 / mt), 0.5 * (1.0 - 1.0 / mt), -(1.0 - mt), -(1.0 + mt))
+                for mt in mts
+            ]
+        ).T.reshape((4,) + column)
+        out[list(rows)] = slow * np.exp(slow_rate * nu_arr) + fast * np.exp(fast_rate * nu_arr)
+    np.copyto(out, 1.0, where=nu_arr == 0.0)
+    return out
 
 
 def relaxation_profile(nu, kappa_tau: float):
@@ -174,23 +221,23 @@ def relaxation_profile(nu, kappa_tau: float):
         kappa_tau: the dimensionless fluctuation parameter kappa * tau >= 0.
 
     Returns:
-        Lambda(nu), same shape as ``nu``.  Lambda(0) = 1 exactly and
-        |Lambda(nu)| <= 1 for all nu >= 0.
+        Lambda(nu), a float for scalar ``nu``, else an array of its shape.
+        Lambda(0) = 1 exactly and |Lambda(nu)| <= 1 for all nu >= 0.
     """
-    out = _profile(_nu_array(nu), _kappa_tau(kappa_tau))
-    if np.isscalar(nu) or getattr(nu, "ndim", 0) == 0:
-        return float(out)
-    return out
+    nu_arr = _nu_array(nu)
+    out = _profiles(nu_arr, (_kappa_tau(kappa_tau),))[0]
+    return float(out) if nu_arr.ndim == 0 else out
 
 
 def relaxation_profiles(nu, params: ModelParams) -> np.ndarray:
-    """Stack the three component profiles; shape (3,) + shape(nu).
+    """The three component profiles in one array; shape (3,) + shape(nu).
 
     This is the one place the map (Lambda_1, Lambda_2, Lambda_3) is
-    evaluated; propagation, xi and the Choi matrix all start from it.
+    evaluated; propagation, xi and the Choi matrix all start from it.  One
+    pass per regime covers every component in that regime.
     """
-    nu_arr = _nu_array(nu)
-    return np.stack([_profile(nu_arr, _kappa_tau(kt)) for kt in params.kappa_taus])
+    kts = tuple(_kappa_tau(k * params.tau) for k in _kappas(params.a))
+    return _profiles(_nu_array(nu), kts)
 
 
 def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:

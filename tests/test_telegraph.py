@@ -39,6 +39,66 @@ def edge_params():
     return out
 
 
+def profile_reference(nu, kt):
+    """One component's closed form as evaluated before the regimes were
+    grouped: one pass per component, frozen here so the grouped evaluation
+    is held to its bits."""
+    nu_arr = np.asarray(nu, dtype=float)
+    musq = (4.0 * kt) ** 2 - 1.0
+    if kt == 0.0:
+        out = np.ones_like(nu_arr)
+    elif abs(4.0 * kt - 1.0) < 1e-6:
+        out = np.exp(-nu_arr) * (
+            (1.0 + nu_arr) - 0.5 * musq * nu_arr**2 * (1.0 + nu_arr / 3.0)
+        )
+    elif musq > 0.0:
+        mu = math.sqrt(musq)
+        out = np.exp(-nu_arr) * (np.cos(mu * nu_arr) + np.sin(mu * nu_arr) / mu)
+    else:
+        mt = math.sqrt(-musq)
+        out = 0.5 * (1.0 + 1.0 / mt) * np.exp(-(1.0 - mt) * nu_arr) + 0.5 * (
+            1.0 - 1.0 / mt
+        ) * np.exp(-(1.0 + mt) * nu_arr)
+    return np.where(nu_arr == 0.0, 1.0, out)
+
+
+def params_with_kappa_taus(kts, tau=1.0):
+    """Couplings whose kappa_i tau are kts (up to rounding); the kts must
+    obey the triangle conditions on their squares."""
+    sq = [(kt / tau) ** 2 for kt in kts]
+    half = 0.5 * sum(sq)
+    return ModelParams(a=tuple(math.sqrt(max(half - q, 0.0)) for q in sq), tau=tau)
+
+
+def reference_params():
+    """Every regime alone and mixed: kappa*tau at 0, below 2e-9 (mu^2
+    rounds to -1), 4 kappa tau - 1 at +-1e-7 (series) and +-2e-6 (exact
+    branches next to the window), damped, ringing, and seeded draws."""
+    out = [ModelParams(a=(0.0, 0.0, 0.0), tau=1.0), ModelParams(a=(1.5e-9, 0.0, 0.0), tau=1.0)]
+    for offset in (1e-7, -1e-7, 2e-6, -2e-6):
+        kt = 0.25 * (1.0 + offset)
+        out.append(ModelParams(a=(0.0, 0.0, kt), tau=1.0))  # kappa taus (kt, kt, 0)
+        out.append(params_with_kappa_taus((0.2, kt, 0.3), tau=0.7))
+    out += [
+        ModelParams(a=(0.05, 0.1, 0.02), tau=1.3),  # all damped
+        ModelParams(a=(2.0, 1.0, 0.5), tau=0.8),  # all ringing
+        ModelParams(a=(0.3, 0.05, 1.1), tau=0.9),  # mixed
+        ModelParams(a=(1e-10, 0.0, 1.3), tau=1.0),  # ringing beside mu^2 = -1
+    ]
+    rng = np.random.default_rng(616)
+    out += [random_params(rng, scale) for scale in (0.2, 0.5, 3.0, 300.0) for _ in range(5)]
+    return out
+
+
+def reference_nus():
+    rng = np.random.default_rng(617)
+    with_zeros = rng.uniform(0.0, 12.0, 40)
+    with_zeros[[0, 7, 8, 31]] = 0.0
+    refine = rng.uniform(0.0, 6.0, (5, 21))
+    refine[2, 0] = 0.0
+    return [0.0, 0.37, 9.5, np.linspace(0.0, 30.0, 301), with_zeros, refine]
+
+
 def random_state(rng):
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
@@ -213,7 +273,18 @@ class TestRelaxationProfile:
             with pytest.raises(ValueError, match="nu must be >= 0"):
                 propagate(bloch_to_density([0.6, 0.0, 0.0]), nu, p)
 
+    def test_list_is_an_array_input(self):
+        out = relaxation_profile([0.0, 1.0], 0.7)
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, relaxation_profile(np.array([0.0, 1.0]), 0.7))
+        assert relaxation_profile([[0.5]], 0.7).shape == (1, 1)
+        for nu in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(relaxation_profile(nu, 0.7)) is float
+
     def test_profiles_stack_component_profiles(self):
+        # both functions evaluate through one helper, so this checks shape
+        # and row order; TestFrozenReference holds the values to the
+        # independent per-component evaluation
         nus = [0.0, 0.37, 5.0, np.linspace(0.0, 12.0, 97)]
         for p in edge_params():
             for nu in nus:
@@ -232,6 +303,57 @@ class TestRelaxationProfile:
             )
             exact = relaxation_profile(sol.nu_grid(tau), kappa_tau)
             assert np.max(np.abs(sol.values - exact)) < 1e-6, kappa_tau
+
+
+class TestFrozenReference:
+    """The grouped evaluation against the per-component one, bit for bit."""
+
+    def test_profiles_equal_reference(self):
+        for p in reference_params():
+            kts = p.kappa_taus
+            for nu in reference_nus():
+                expected = np.stack([profile_reference(nu, kt) for kt in kts])
+                assert np.array_equal(relaxation_profiles(nu, p), expected), (p, nu)
+                for kt, row in zip(kts, expected):
+                    assert np.array_equal(relaxation_profile(nu, kt), row), (kt, nu)
+
+    def test_propagate_equals_reference(self):
+        rng = np.random.default_rng(618)
+        for p in reference_params():
+            rho = random_state(rng)
+            for nu in (0.0, 0.37, 9.5, float(rng.uniform(0.0, 12.0))):
+                lams = np.stack([profile_reference(nu, kt) for kt in p.kappa_taus])
+                expected = bloch_to_density(lams * density_to_bloch(rho))
+                assert np.array_equal(propagate(rho, nu, p), expected), (p, nu)
+
+    def test_reference_covers_every_regime(self):
+        # each branch of the closed form, the series window on both sides
+        # and mu^2 rounded to -1 occur in the reference set
+        kts = np.concatenate([p.kappa_taus for p in reference_params()])
+        assert np.any(kts == 0.0)
+        assert np.any((kts > 0.0) & ((4.0 * kts) ** 2 - 1.0 == -1.0))
+        for lo, hi in ((0.5e-7, 1.5e-7), (-1.5e-7, -0.5e-7), (1.5e-6, 2.5e-6), (-2.5e-6, -1.5e-6)):
+            assert np.any((4.0 * kts - 1.0 > lo) & (4.0 * kts - 1.0 < hi))
+        assert np.any(kts > 0.3) and np.any((kts > 0.0) & (kts < 0.2))
+
+    @pytest.mark.parametrize("func", [np.exp, np.cos, np.sin])
+    def test_elementwise_math_independent_of_array_length(self, func):
+        # Grouped and per-component evaluation feed the same element to
+        # these ufuncs in arrays of different lengths and alignments; their
+        # bit identity needs each element's result to be independent of
+        # both.  A platform where this fails breaks the reference tests.
+        rng = np.random.default_rng(619)
+        if func is np.exp:
+            x = -rng.uniform(0.0, 740.0, 4096) * rng.uniform(0.0, 1.0, 4096) ** 4
+        else:
+            x = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-3.0, 8.0, 4096)
+        full = func(x)
+        for i in range(0, 4096, 37):
+            assert func(x[i]) == full[i]
+            assert func(np.array(x[i])) == full[i]
+            assert np.array_equal(func(x[i : i + 1]), full[i : i + 1])
+            assert np.array_equal(func(x[i : i + 3]), full[i : i + 3])
+            assert np.array_equal(func(x[i + 1 : i + 4]), full[i + 1 : i + 4])
 
 
 class TestPropagate:
