@@ -37,7 +37,7 @@ print("\nboundary along coupling directions (CP at b, not CP at b + 1e-6 max(1, 
 for direction in ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0)):
     boundary = critical_flip_parameter(direction, tau=1.0)
     if boundary is None:
-        print(f"  {direction}: completely positive for every tested scale")
+        print(f"  {direction}: one nonzero coupling, completely positive at every a*tau")
     else:
         print(f"  {direction}: loses complete positivity at a*tau = {boundary:.4f}")
 

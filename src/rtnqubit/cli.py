@@ -261,7 +261,7 @@ def _cmd_critical(cfg: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if boundary is None:
-        line = "completely positive for all tested scales (a*tau up to 1e4)"
+        line = "no boundary: with one nonzero coupling the map is CP at every a*tau"
         value = math.inf
     else:
         line = f"critical coupling: a*tau = {boundary:.6g}"

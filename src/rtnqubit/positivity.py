@@ -26,11 +26,11 @@ dip away from a grid minimum, nor the nu = 0 end of the scan.
 
 Along a ray of couplings the deepest interior dip m(a tau) of min_j xi is
 positive on the CP side and negative past the boundary (the global minimum
-is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The
-boundary search steps toward m = -CP_TOLERANCE, where the verdict flips,
-by Newton steps safeguarded by bisection, and certifies its result with two
-scans delta = 1e-6 max(1, b) apart; a direction still CP at a tau = 1e4
-reports no boundary, and so, without a scan, does a one-axis direction.
+is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The search
+starts at c*/kappa_min, near which every direction with two or more nonzero
+couplings has its boundary (one-axis directions have none), and takes
+Newton steps, safeguarded by bisection, toward m = -CP_TOLERANCE, where the
+verdict flips; two scans delta = 1e-6 max(1, b) apart certify the result.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -84,8 +84,9 @@ _CRITICAL_CROSSING = 2.289281414562872
 # positive to this relative margin, so that its Newton steps see the dip's
 # value, not the grid's.
 _DIP_MARGIN = 1e-6
-# Couplings a*tau scanned when no Newton step finds a crossing below the first.
-_DECADES = (10.0, 100.0, 1000.0, 1e4)
+# Root c* of min over nu > 0 of [1 + Lambda(nu; c) - 2 exp(-nu)] = 0, touched
+# at nu ~= 0.91558: the boundary search starts at c*/kappa_min.
+_C_STAR = 0.7058598262632272
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
@@ -177,21 +178,29 @@ def scan_horizon(params: ModelParams) -> float:
     return horizon + 1.0
 
 
-def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
+def _dense_points(params: ModelParams, horizon: float) -> tuple[float, float]:
     # Oscillating profiles need a grid that resolves their period, but only
     # while their envelope exp(-nu) sqrt(1 + 1/mu^2) is large enough to dig
     # a xi minimum below anything resolvable: past
     # nu = log(envelope * 1e12) they sit under 1e-12 and the remaining
     # slow (overdamped) profiles are smooth, so a sparse tail suffices.
+    # Returns that stretch's end and its uncapped point count, inf when the
+    # frequency overflows; (horizon, 0) when nothing oscillates.
     musq = params.mu_squared
     real = musq[musq > 0.0]
     if real.size == 0:
-        return np.linspace(0.0, horizon, _BASE_GRID_POINTS)
+        return horizon, 0.0
     mu_max = math.sqrt(float(np.max(real)))
     envelope = float(np.max(np.sqrt(1.0 + 1.0 / real)))
     osc_end = min(horizon, math.log(envelope * 1e12) + 1.0)
-    needed = int(math.ceil(_POINTS_PER_PERIOD * osc_end * mu_max / (2.0 * math.pi)))
-    n_dense = min(max(_BASE_GRID_POINTS, needed), _MAX_GRID_POINTS)
+    return osc_end, _POINTS_PER_PERIOD * osc_end * mu_max / (2.0 * math.pi)
+
+
+def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
+    osc_end, needed = _dense_points(params, horizon)
+    if needed == math.inf:
+        raise ValueError(f"cannot scan a = {params.a} at tau = {params.tau}: mu overflows")
+    n_dense = min(max(_BASE_GRID_POINTS, math.ceil(needed)), _MAX_GRID_POINTS)
     dense = np.linspace(0.0, osc_end, n_dense)
     if osc_end >= horizon:
         return dense
@@ -290,20 +299,18 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 
     The search is a safeguarded Newton iteration on m(a*tau), the deepest
     interior dip of min_j xi, which is positive on the CP side and negative
-    past the boundary.  It starts just inside the a*tau where
-    :func:`sufficient_condition` is tight, sqrt(mu*^2 + 1) / (4 max kappa_i)
-    (kappa_i tau of the rescaled direction at a*tau = 1), and steps from
-    the largest CP a*tau found toward m = -CP_TOLERANCE, with the slope of
-    xi at the dip's witness (a central difference along the ray; by the
-    envelope theorem that is the slope of m).  A step leaving the
-    [CP, not CP] bracket is replaced by bisection; a step below delta by
-    the final scan at b + delta.  When no step toward a crossing below
-    a*tau = 10 exists, a*tau = 10, 100, 1000 and 1e4 are scanned in turn,
-    and the search resumes from the CP end of the first decade that is not
-    CP; a map CP at all four has no boundary, and None is returned.
+    past the boundary.  It starts at c*/kappa_min (kappa_min the smallest
+    kappa_i tau of the rescaled direction at a*tau = 1; measured boundaries
+    lie at 0.975 to 1.15 times it) and steps from the largest CP a*tau found
+    toward m = -CP_TOLERANCE, with the slope of xi at the dip's witness (a
+    central difference along the ray; by the envelope theorem that is the
+    slope of m).  A step is capped at twice the CP end while no a*tau is
+    known not CP, replaced by bisection when it leaves the [CP, not CP]
+    bracket, and by the final scan at b + delta when below delta.
 
-    A direction with one nonzero component (dephasing-type noise) has no
-    boundary at any coupling, and None is returned without a scan.
+    None means one nonzero component (dephasing-type noise: no boundary, and
+    no scan).  A start past the grid cap of _MAX_GRID_POINTS (kappa_min below
+    about 1e-5, or 0 by underflow) raises ValueError before any scan.
     """
     shape = np.asarray(shape, dtype=float)
     if shape.shape != (3,) or not np.all(np.isfinite(shape)) or np.any(shape < 0):
@@ -320,6 +327,15 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
         # One coupling alone leaves two xi_j at 0 and two at (1 -+ Lambda)/2
         # with |Lambda| <= 1: no dip can cross.
         return None
+
+    # kappa_i tau scales with a*tau, so the start is sized at tau = 1.
+    kappa_min = float(np.min(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
+    b = _C_STAR / kappa_min if kappa_min > 0.0 else math.inf
+    start = ModelParams(a=tuple(unit * b), tau=1.0) if b < math.inf else None
+    if start is None or _dense_points(start, scan_horizon(start))[1] > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"direction {shape.tolist()}: start c*/kappa_min = {b:.6g} is past the grid cap"
+        )
 
     def at(a_tau: float) -> ModelParams:
         return ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)
@@ -340,36 +356,20 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 
     # a*tau = 0 is the identity map: CP, with no interior dip.
     lo, lo_dip, hi, final = 0.0, (math.inf, 0, 0.0), math.inf, False
-    # Where the sufficient condition is tight, moved inside it by far more
-    # than the rounding of mu.
-    kappa_max = float(np.max(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
-    b = math.sqrt(MU_STAR_BOUND**2 + 1.0) / (4.0 * kappa_max) * (1.0 - 1e-12)
     while True:
-        if hi == math.inf and b >= _DECADES[0]:
-            # No step toward a crossing below the first decade: the first
-            # decade that is not CP becomes hi, the one before it lo.
-            for hi in _DECADES:
-                found = dip(hi)
-                if found[0] < -CP_TOLERANCE:
-                    break
-                lo, lo_dip = hi, found
-            else:
-                return None
+        found = dip(b)
+        if found[0] >= -CP_TOLERANCE:
+            lo, lo_dip = b, found
+        elif final:
+            return lo
         else:
-            found = dip(b)
-            if found[0] >= -CP_TOLERANCE:
-                lo, lo_dip = b, found
-            elif final:
-                return lo
-            else:
-                hi = b
+            hi = b
         delta = 1e-6 * max(1.0, lo)
-        b = newton(lo, lo_dip)
-        if hi < math.inf and b >= hi:
+        b = min(newton(lo, lo_dip), 2.0 * lo if hi == math.inf else math.inf)
+        if b >= hi:
             b = 0.5 * (lo + hi)
         final = b < lo + delta
-        if final:
-            b = lo + delta
+        b = max(b, lo + delta)
 
 
 def sufficient_condition(params: ModelParams) -> bool:

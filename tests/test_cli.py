@@ -108,9 +108,14 @@ class TestCritical:
     def test_dephasing_cp_for_all(self, capsys):
         code, out, _ = run(capsys, "critical", "--direction", "0,0,1")
         assert code == 0
-        assert "all tested scales" in out
+        assert "one nonzero coupling" in out
         _, rows = parse_csv(out)
         assert np.isinf(rows[0, 3])
+
+    def test_unresolvable_direction_usage_error(self, capsys):
+        code, _, err = run(capsys, "critical", "--direction", "1,1e-6,0")
+        assert code == 2
+        assert "c*/kappa_min" in err
 
     def test_json_reports_null_boundary(self, capsys):
         code, out, _ = run(capsys, "critical", "--direction", "0,0,1", "--format", "json")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -305,6 +306,11 @@ class TestIsCp:
         with pytest.raises(ValueError, match="scan horizon must be finite and > 0"):
             is_cp(ModelParams(a=(1.2, 1.2, 0.0), tau=1.0), nu_max=nu_max)
 
+    def test_overflowing_frequency_rejected(self):
+        # kappa_i overflows to inf; the grid could not be sized
+        with pytest.raises(ValueError, match=r"a = \(1e\+200, 1e\+200, 0\.0\) at tau = 1e-190"):
+            is_cp(ModelParams(a=(1e200, 1e200, 0.0), tau=1e-190))
+
     @pytest.mark.parametrize("nu_max", [0.4424, 0.4425])
     def test_cut_horizon_ending_in_a_dip(self, nu_max):
         # xi_4 first crosses -CP_TOLERANCE between nu = 0.4423 and 0.4424, so
@@ -339,6 +345,25 @@ class TestDipBound:
         assert v > 0.0
         assert abs((1.0 + v) * math.exp(-v) - 1.0 / 3.0) <= 1e-12
 
+    def test_c_star_constant(self):
+        # c* is the root of min over nu > 0 of 1 + Lambda(nu; c) - 2 exp(-nu);
+        # the dip's depth moves by about 1.2 per unit relative change of c
+        def depth(c):
+            # the interior minimum, refined from a 1e-4 to a 1e-7 grid
+            def f(nu):
+                return 1.0 + relaxation_profile(nu, c) - 2.0 * np.exp(-nu)
+
+            nu = np.linspace(0.5, 1.5, 10001)
+            nu = nu[np.argmin(f(nu))] + np.linspace(-1e-4, 1e-4, 2001)
+            i = int(np.argmin(f(nu)))
+            return float(f(nu)[i]), float(nu[i])
+
+        c = positivity._C_STAR
+        value, nu = depth(c)
+        assert abs(value) <= 1e-12
+        assert nu == pytest.approx(0.91558, abs=1e-5)
+        assert depth(c * (1.0 - 1e-9))[0] > 0.0 > depth(c * (1.0 + 1e-9))[0]
+
 
 class TestCriticalFlipParameter:
     def test_boundary_with_weak_second_axis(self):
@@ -356,9 +381,8 @@ class TestCriticalFlipParameter:
         b2 = critical_flip_parameter((1.0, 1.0, 0.0), tau=2.0)
         assert b1 == pytest.approx(b2, abs=1e-6)
 
-    def test_lower_bracket_end_is_cp(self, monkeypatch):
-        # the lower end of the first bracket is the search's start point,
-        # just inside the sufficient condition; the search scans it
+    def test_first_scan_at_c_star_over_kappa_min(self, monkeypatch):
+        # the search starts where the smallest kappa_i tau equals c*
         scanned = []
 
         def recording_scan(params, horizon, margin):
@@ -372,10 +396,31 @@ class TestCriticalFlipParameter:
         for shape in shapes:
             scanned.clear()
             critical_flip_parameter(shape, tau=1.0)
-            p = scanned[0]
-            mu_max = math.sqrt(float(np.max(p.mu_squared)))
-            assert mu_max == pytest.approx(MU_STAR_BOUND, rel=1e-11)
-            assert sufficient_condition(p) and is_cp(p).is_cp
+            assert float(np.min(scanned[0].kappa_taus)) == pytest.approx(
+                positivity._C_STAR, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("weak", [1e-2, 1e-3])
+    def test_boundary_follows_c_star_law(self, weak):
+        # b kappa_min / c* -> 1 as kappa_min -> 0 (measured 2.0e-5 and 0: the
+        # start is certified there)
+        b = critical_flip_parameter((1.0, weak, 0.0), tau=1.0)
+        kappa_min = float(np.min(ModelParams(a=(1.0, weak, 0.0), tau=1.0).kappa_taus))
+        assert abs(b * kappa_min / positivity._C_STAR - 1.0) <= 1e-4
+
+    @pytest.mark.parametrize("weak", [1e-6, 1e-100, 1e-160, 1e-200])
+    def test_unresolvable_start_refused_before_any_scan(self, monkeypatch, weak):
+        # kappa_min below about 1e-5, or underflowing to 0, puts the start
+        # past the grid cap; the refusal is decided before any scan
+        monkeypatch.setattr(positivity, "_scan", None)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"c\*/kappa_min"):
+            critical_flip_parameter((1.0, weak, 0.0), tau=1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_couplings_rejected(self):
+        with pytest.raises(ValueError, match="tau = 1e-300"):
+            critical_flip_parameter((1.0, 1.0, 0.0), tau=1e-300)
 
     def test_dephasing_has_no_boundary(self):
         assert critical_flip_parameter((0.0, 0.0, 1.0), tau=1.0) is None
@@ -417,7 +462,8 @@ class TestCriticalFlipParameter:
             assert cp_at(b) and cp_at(b - delta) and not cp_at(b + delta), (shape, tau, b)
 
     @pytest.mark.parametrize(
-        "shape, most", [((1.0, 1.0, 0.0), 8), ((1.0, 0.0, 0.0), 0), ((0.0, 0.0, 1.0), 0)]
+        "shape, most",
+        [((1.0, 1.0, 0.0), 8), ((1.0, 0.0, 0.0), 0), ((0.0, 0.0, 1.0), 0), ((1.0, 1e-3, 0.0), 8)],
     )
     def test_scan_count(self, monkeypatch, shape, most):
         # a fall-back to bisection (15 scans) would exceed the two-axis
