@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, telegraph
-from .telegraph import ModelParams
+from .telegraph import ModelParams, Regime
 
 __all__ = [
     "CP_TOLERANCE",
@@ -149,57 +149,49 @@ class CpVerdict:
 def scan_horizon(params: ModelParams) -> float:
     """Time beyond which all xi_j are provably positive.
 
-    Each decaying profile satisfies |Lambda_i(nu)| <= E_i(nu) with
+    By its regime (the branch of the closed form that evaluates it, see
+    :func:`rtnqubit.telegraph.classify_regime`), each profile obeys
+    |Lambda_i(nu)| <= E_i(nu) with
 
         underdamped:  E = exp(-nu) sqrt(1 + 1/mu^2)
         critical:     E = exp(-nu) (1 + nu)
         overdamped:   E = (1 + 1/mt)/2 exp(-(1 - mt) nu),
 
-    and components with kappa_i = 0 are identically 1 but then the two
-    partner profiles coincide and cancel in the dangerous combinations.
-    So is a component with (4 kappa_i tau)^2 below half an ulp of 1
-    (kappa_i tau < ~2e-9): mu^2 rounds to -1, mt to 1, and its profile
-    evaluates to exactly 1.  Once every decaying envelope is below 1/3,
-    all xi_j > 0; the returned horizon is that crossing time plus a unit
-    margin.
+    except a profile evaluated as identically 1 (kappa_i tau = 0, or mu_i^2
+    rounding to -1), whose two partner profiles cancel in the dangerous
+    combinations.  Once every decaying envelope is below 1/3, all xi_j > 0;
+    the returned horizon is that crossing time plus a unit margin.
     """
     horizon = 0.0
-    for kt, musq in zip(params.kappa_taus, params.mu_squared):
-        if kt == 0.0 or musq == -1.0:
-            continue
-        if abs(4.0 * kt - 1.0) < telegraph.CRITICAL_SERIES_WINDOW:
-            cross = _CRITICAL_CROSSING
-        elif musq > 0.0:
-            cross = math.log(3.0 * math.sqrt(1.0 + 1.0 / musq))
-        else:
+    for _, musq, branch in params._components:
+        if branch is Regime.CRITICAL:
+            horizon = max(horizon, _CRITICAL_CROSSING)
+        elif branch is Regime.UNDERDAMPED:
+            horizon = max(horizon, math.log(3.0 * math.sqrt(1.0 + 1.0 / musq)))
+        elif branch is Regime.OVERDAMPED:
             mt = math.sqrt(-musq)
-            cross = math.log(3.0 * (1.0 + 1.0 / mt) / 2.0) / (1.0 - mt)
-        horizon = max(horizon, cross)
+            horizon = max(horizon, math.log(3.0 * (1.0 + 1.0 / mt) / 2.0) / (1.0 - mt))
     return horizon + 1.0
 
 
 def _dense_points(params: ModelParams, horizon: float) -> tuple[float, float]:
-    # Oscillating profiles need a grid that resolves their period, but only
+    # Underdamped profiles need a grid that resolves their period, but only
     # while their envelope exp(-nu) sqrt(1 + 1/mu^2) is large enough to dig
     # a xi minimum below anything resolvable: past
     # nu = log(envelope * 1e12) they sit under 1e-12 and the remaining
-    # slow (overdamped) profiles are smooth, so a sparse tail suffices.
-    # Returns that stretch's end and its uncapped point count, inf when the
-    # frequency overflows; (horizon, 0) when nothing oscillates.
-    musq = params.mu_squared
-    real = musq[musq > 0.0]
-    if real.size == 0:
+    # profiles are smooth, so a sparse tail suffices.  Returns that
+    # stretch's end and its uncapped point count; (horizon, 0) when no
+    # profile is underdamped.
+    real = [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
+    if not real:
         return horizon, 0.0
-    mu_max = math.sqrt(float(np.max(real)))
-    envelope = float(np.max(np.sqrt(1.0 + 1.0 / real)))
+    envelope = max(math.sqrt(1.0 + 1.0 / musq) for musq in real)
     osc_end = min(horizon, math.log(envelope * 1e12) + 1.0)
-    return osc_end, _POINTS_PER_PERIOD * osc_end * mu_max / (2.0 * math.pi)
+    return osc_end, _POINTS_PER_PERIOD * osc_end * math.sqrt(max(real)) / (2.0 * math.pi)
 
 
 def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
     osc_end, needed = _dense_points(params, horizon)
-    if needed == math.inf:
-        raise ValueError(f"cannot scan a = {params.a} at tau = {params.tau}: mu overflows")
     n_dense = min(max(_BASE_GRID_POINTS, math.ceil(needed)), _MAX_GRID_POINTS)
     dense = np.linspace(0.0, osc_end, n_dense)
     if osc_end >= horizon:
@@ -293,9 +285,10 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 
     The direction is rescaled so its largest component is 1; the returned
     value b is the coupling times tau of that largest component (so shape
-    (1, 1, 0) gives the a*tau ~= 0.8095 threshold).  It is certified by
-    two scans: the map is CP at b and not CP at b + delta, with
-    delta = 1e-6 max(1, b).
+    (1, 1, 0) gives the a*tau ~= 0.8095 threshold).  xi depends on a and tau
+    only through a*tau, so every scan is at tau = 1 and ``tau`` is only
+    validated.  b is certified by two scans: the map is CP at b and not CP
+    at b + delta, with delta = 1e-6 max(1, b).
 
     The search is a safeguarded Newton iteration on m(a*tau), the deepest
     interior dip of min_j xi, which is positive on the CP side and negative
@@ -328,17 +321,20 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
         # with |Lambda| <= 1: no dip can cross.
         return None
 
-    # kappa_i tau scales with a*tau, so the start is sized at tau = 1.
-    kappa_min = float(np.min(ModelParams(a=tuple(unit), tau=1.0).kappa_taus))
+    def at(a_tau: float) -> ModelParams:
+        return ModelParams(a=tuple(unit * a_tau), tau=1.0)
+
+    kappa_min = float(np.min(at(1.0).kappa_taus))
     b = _C_STAR / kappa_min if kappa_min > 0.0 else math.inf
-    start = ModelParams(a=tuple(unit * b), tau=1.0) if b < math.inf else None
-    if start is None or _dense_points(start, scan_horizon(start))[1] > _MAX_GRID_POINTS:
+    try:  # the start as unit couplings at tau = b, which refuses b = inf too
+        start = ModelParams(a=tuple(unit), tau=b)
+        fits = _dense_points(start, scan_horizon(start))[1] <= _MAX_GRID_POINTS
+    except ValueError:  # b past the domain of ModelParams
+        fits = False
+    if not fits:
         raise ValueError(
             f"direction {shape.tolist()}: start c*/kappa_min = {b:.6g} is past the grid cap"
         )
-
-    def at(a_tau: float) -> ModelParams:
-        return ModelParams(a=tuple(unit * (a_tau / tau)), tau=tau)
 
     def dip(a_tau: float) -> tuple[float, int, float]:
         params = at(a_tau)
@@ -375,15 +371,12 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 def sufficient_condition(params: ModelParams) -> bool:
     """True when max real frequency mu_i <= pi / ln 3 (CP guaranteed).
 
-    Components in the damping regime (imaginary frequency) satisfy the
-    condition trivially.  This is one-sided: a False return does not by
+    Only underdamped components have a real frequency; the others satisfy
+    the condition trivially.  This is one-sided: a False return does not by
     itself prove loss of complete positivity.
     """
-    musq = params.mu_squared
-    real = musq[musq > 0.0]
-    if real.size == 0:
-        return True
-    return math.sqrt(float(np.max(real))) <= MU_STAR_BOUND
+    real = [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
+    return not real or math.sqrt(max(real)) <= MU_STAR_BOUND
 
 
 def markov_cp_check(gammas) -> bool:

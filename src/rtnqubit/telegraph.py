@@ -19,10 +19,9 @@ for kt > 1/4 it oscillates inside [-1, 1].  In all regimes |Lambda| <= 1,
 so single-qubit positivity is never lost; complete positivity is a
 separate question handled in :mod:`rtnqubit.positivity`.
 
-:func:`relaxation_profiles` evaluates the three profiles together, in one
-pass per regime present: each component keeps its own regime's formula
-(and so the bits of evaluating it alone), while the per-call cost is paid
-once per regime rather than once per component.
+:class:`ModelParams` derives each component's kappa_i, mu_i^2 and regime
+once.  :func:`relaxation_profiles` evaluates each regime present in one
+pass for all of its components, which keep their own formula's bits.
 
 In the white-noise limit (tau -> 0 with 2 a^2 tau fixed) each component
 decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
@@ -51,61 +50,10 @@ __all__ = [
     "markov_rates",
 ]
 
-# Width of the critical regime in kappa*tau used by classify_regime.
-CRITICAL_ATOL = 1e-12
-# |4*kappa*tau - 1| below which relaxation_profile switches to the series
-# around the critical point, to avoid the 0/0 in sin(mu nu)/mu.
+# |4*kappa*tau - 1| below which the closed form is evaluated by its series
+# around the critical point, to avoid the 0/0 in sin(mu nu)/mu; such a
+# component is in the CRITICAL regime.
 CRITICAL_SERIES_WINDOW = 1e-6
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Coupling strengths and flip timescale of the telegraph model.
-
-    The three couplings must be nonnegative and finite; a single shared
-    flip timescale ``tau > 0`` is the only supported configuration (the
-    damping-basis reduction to one scalar kernel needs it).
-    """
-
-    a: tuple[float, float, float]
-    tau: float
-
-    def __post_init__(self) -> None:
-        a = tuple(float(x) for x in self.a)
-        if len(a) != 3:
-            raise ValueError(f"expected three coupling strengths, got {len(a)}")
-        if not all(math.isfinite(x) and x >= 0.0 for x in a):
-            raise ValueError(f"coupling strengths must be finite and >= 0, got {a}")
-        tau = float(self.tau)
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise ValueError(f"flip timescale must be finite and > 0, got {tau}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "tau", tau)
-
-    @property
-    def kappas(self) -> np.ndarray:
-        """kappa_i = sqrt(a_j^2 + a_k^2) for distinct i, j, k."""
-        return np.array(_kappas(self.a))
-
-    @property
-    def kappa_taus(self) -> np.ndarray:
-        return self.kappas * self.tau
-
-    @property
-    def mu_squared(self) -> np.ndarray:
-        """(4 kappa_i tau)^2 - 1; negative values mean imaginary frequency."""
-        return (4.0 * self.kappa_taus) ** 2 - 1.0
-
-
-def _kappas(a) -> tuple[float, float, float]:
-    # math.sqrt is correctly rounded, as np.sqrt is: the same bits as an
-    # array computation, without its per-call cost.
-    a1, a2, a3 = a
-    return (
-        math.sqrt(a2 * a2 + a3 * a3),
-        math.sqrt(a3 * a3 + a1 * a1),
-        math.sqrt(a1 * a1 + a2 * a2),
-    )
 
 
 class Regime(enum.Enum):
@@ -114,6 +62,77 @@ class Regime(enum.Enum):
     OVERDAMPED = "overdamped"
     CRITICAL = "critical"
     UNDERDAMPED = "underdamped"
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Coupling strengths and flip timescale of the telegraph model.
+
+    The couplings must be finite and >= 0 and every kappa_i, 4 kappa_i^2 and
+    (4 kappa_i tau)^2 finite (up to about 1e153 at tau = 1); one shared flip
+    timescale ``tau > 0`` is the only supported configuration (the
+    damping-basis reduction to one scalar kernel needs it).  Each component's
+    kappa_i, mu_i^2 and regime (see :func:`classify_regime`) are derived once,
+    here, into the private table the profiles and the CP scan read.
+    """
+
+    a: tuple[float, float, float]
+    tau: float
+
+    def __post_init__(self) -> None:
+        a = tuple(map(float, self.a))
+        if len(a) != 3:
+            raise ValueError(f"expected three coupling strengths, got {len(a)}")
+        a1, a2, a3 = a
+        if not (0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf and 0.0 <= a3 < math.inf):
+            raise ValueError(f"coupling strengths must be finite and >= 0, got {a}")
+        tau = float(self.tau)
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"flip timescale must be finite and > 0, got {tau}")
+        # kappa_i = sqrt(a_j^2 + a_k^2); math.sqrt is correctly rounded, as
+        # np.sqrt is: the same bits as an array computation, and cheaper.
+        components = (
+            _component(math.sqrt(a2 * a2 + a3 * a3), tau),
+            _component(math.sqrt(a3 * a3 + a1 * a1), tau),
+            _component(math.sqrt(a1 * a1 + a2 * a2), tau),
+        )
+        if None in components:
+            raise ValueError(f"a = {a} at tau = {tau} overflows 4 kappa_i^2 or (4 kappa_i tau)^2")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "_components", components)
+
+    @property
+    def kappas(self) -> np.ndarray:
+        """kappa_i = sqrt(a_j^2 + a_k^2) for distinct i, j, k."""
+        return np.array([c[0] for c in self._components])
+
+    @property
+    def kappa_taus(self) -> np.ndarray:
+        return self.kappas * self.tau
+
+    @property
+    def mu_squared(self) -> np.ndarray:
+        """(4 kappa_i tau)^2 - 1; negative values mean imaginary frequency."""
+        return np.array([c[1] for c in self._components])
+
+
+def _component(kappa: float, tau: float) -> tuple[float, float, Regime | None] | None:
+    # Table row (kappa, mu^2, branch) of one component, branch None for a
+    # constant profile; None where 4 kappa^2 or (4 kappa tau)^2 is not finite.
+    # mu^2 is squared by **, not x * x: the profiles' bits need it.
+    kt = kappa * tau
+    try:
+        musq = (4.0 * kt) ** 2 - 1.0
+    except OverflowError:
+        return None
+    if not (musq < math.inf and 4.0 * kappa * kappa < math.inf):
+        return None
+    if kt == 0.0 or musq == -1.0:
+        return kappa, musq, None
+    if abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
+        return kappa, musq, Regime.CRITICAL
+    return kappa, musq, Regime.UNDERDAMPED if musq > 0.0 else Regime.OVERDAMPED
 
 
 def damping_spectrum(params: ModelParams) -> np.ndarray:
@@ -127,16 +146,12 @@ def damping_spectrum(params: ModelParams) -> np.ndarray:
 
 
 def classify_regime(params: ModelParams) -> tuple[Regime, Regime, Regime]:
-    """Regime of each Bloch component, split at kappa_i * tau = 1/4."""
-    out = []
-    for kt in params.kappa_taus:
-        if abs(kt - 0.25) <= CRITICAL_ATOL:
-            out.append(Regime.CRITICAL)
-        elif kt < 0.25:
-            out.append(Regime.OVERDAMPED)
-        else:
-            out.append(Regime.UNDERDAMPED)
-    return tuple(out)
+    """Regime of each Bloch component: the closed form's branch for it.
+
+    CRITICAL is the critical series (|4 kappa_i tau - 1| < 1e-6), UNDERDAMPED
+    the ringing branch, OVERDAMPED the damped one and a constant profile.
+    """
+    return tuple(c[2] or Regime.OVERDAMPED for c in params._components)
 
 
 def _nu_array(nu) -> np.ndarray:
@@ -146,34 +161,18 @@ def _nu_array(nu) -> np.ndarray:
     return nu_arr
 
 
-def _kappa_tau(value) -> float:
-    kt = float(value)
-    if not (math.isfinite(kt) and kt >= 0.0):
-        raise ValueError(f"kappa*tau must be finite and >= 0, got {kt}")
-    return kt
-
-
-def _profiles(nu_arr: np.ndarray, kts) -> np.ndarray:
-    # The closed form for each validated kappa*tau in kts on validated
-    # nu_arr; shape (len(kts),) + nu_arr.shape (0-d nu_arr included).  Each
-    # regime present is evaluated once for all of its components, their
+def _profiles(nu_arr: np.ndarray, components) -> np.ndarray:
+    # The closed form for each regime-table row in components on validated
+    # nu_arr; shape (len(components),) + nu_arr.shape (0-d nu_arr included).
+    # Each branch present is evaluated once for all of its components, their
     # constants a column against nu, so every component keeps the formula
-    # (and the bits) of its own regime.
-    out = np.empty((len(kts),) + nu_arr.shape)
+    # (and the bits) of its own branch.
+    out = np.ones((len(components),) + nu_arr.shape)  # rows of branch None stay 1
     column = (-1,) + (1,) * nu_arr.ndim
-    ones, series, ringing, damped = [], [], [], []
-    for i, kt in enumerate(kts):
-        musq = (4.0 * kt) ** 2 - 1.0
-        if kt == 0.0:
-            ones.append(i)
-        elif abs(4.0 * kt - 1.0) < CRITICAL_SERIES_WINDOW:
-            series.append((i, musq))
-        elif musq > 0.0:
-            ringing.append((i, math.sqrt(musq)))
-        else:
-            damped.append((i, math.sqrt(-musq)))
-    if ones:
-        out[ones] = 1.0
+    branches = {None: [], Regime.CRITICAL: [], Regime.UNDERDAMPED: [], Regime.OVERDAMPED: []}
+    for i, (_, musq, branch) in enumerate(components):
+        branches[branch].append((i, musq if branch is Regime.CRITICAL else math.sqrt(abs(musq))))
+    _, series, ringing, damped = branches.values()
     if series or ringing:
         decay = np.exp(-nu_arr)
     if series:
@@ -218,14 +217,19 @@ def relaxation_profile(nu, kappa_tau: float):
 
     Args:
         nu: dimensionless time t / (2 tau), scalar or array, >= 0.
-        kappa_tau: the dimensionless fluctuation parameter kappa * tau >= 0.
+        kappa_tau: the dimensionless fluctuation parameter kappa * tau >= 0,
+            with (4 kappa tau)^2 finite.
 
     Returns:
         Lambda(nu), a float for scalar ``nu``, else an array of its shape.
         Lambda(0) = 1 exactly and |Lambda(nu)| <= 1 for all nu >= 0.
     """
     nu_arr = _nu_array(nu)
-    out = _profiles(nu_arr, (_kappa_tau(kappa_tau),))[0]
+    kt = float(kappa_tau)
+    component = _component(kt, 1.0) if kt >= 0.0 else None  # kappa = kt at tau = 1
+    if component is None:
+        raise ValueError(f"kappa*tau must be >= 0 with (4 kappa*tau)^2 finite, got {kt}")
+    out = _profiles(nu_arr, (component,))[0]
     return float(out) if nu_arr.ndim == 0 else out
 
 
@@ -236,8 +240,7 @@ def relaxation_profiles(nu, params: ModelParams) -> np.ndarray:
     evaluated; propagation, xi and the Choi matrix all start from it.  One
     pass per regime covers every component in that regime.
     """
-    kts = tuple(_kappa_tau(k * params.tau) for k in _kappas(params.a))
-    return _profiles(_nu_array(nu), kts)
+    return _profiles(_nu_array(nu), params._components)
 
 
 def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:

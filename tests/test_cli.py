@@ -238,6 +238,20 @@ class TestVolterraCheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_quadrature_blowup_is_a_failed_verdict(self, capsys):
+        # 100 steps cannot follow these frequencies: each component's
+        # quadrature blows up, so its deviation is unbounded
+        argv = ["volterra-check", "--a1", "1e3", "--a2", "1e3", "--a3", "0", "--steps", "100"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert [ln.split(",")[2] for ln in out.splitlines()[1:4]] == ["inf"] * 3
+        assert out.splitlines()[-1].startswith("# max deviation inf") and "FAIL" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["meta"]["verdict"] == {"max_abs_deviation": None, "passed": False}
+        assert [row[2] for row in payload["rows"]] == [None] * 3
+
 
 class TestConfigAndOutput:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -366,6 +380,12 @@ class TestConfigAndOutput:
             (["volterra-check", "--tol", "nan"], "tol must be finite and > 0"),
             (["critical", "--direction", "1,1,0", "--tau", "0"], "flip timescale must be finite"),
             (["critical", "--direction", "1,1,0", "--tau", "nan"], "flip timescale must be finite"),
+            (["evolve", "--a1", "1e200"], "invalid model parameters"),
+            (["evolve", "--a1", "5e153", "--a2", "5e153"], "invalid model parameters"),
+            (["evolve", "--tau", "1e300"], "invalid model parameters"),
+            (["cp-scan", "--a1", "1e200"], "invalid model parameters"),
+            (["mc-validate", "--a1", "1e200", "--trajectories", "2"], "invalid model parameters"),
+            (["volterra-check", "--a1", "1e200"], "invalid model parameters"),
         ],
     )
     def test_non_finite_values_usage_error(self, capsys, argv, message):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,19 @@ from rtnqubit import (
     CP_TOLERANCE,
     MU_STAR_BOUND,
     ModelParams,
+    Regime,
     bell_projector,
+    bloch_to_density,
     choi_matrix,
+    classify_regime,
     critical_flip_parameter,
+    damping_spectrum,
     hermitian_eigenvalues,
     is_cp,
     markov_cp_check,
     markov_rates,
     pauli,
+    propagate,
     relaxation_profile,
     relaxation_profiles,
     scan_horizon,
@@ -307,7 +313,7 @@ class TestIsCp:
             is_cp(ModelParams(a=(1.2, 1.2, 0.0), tau=1.0), nu_max=nu_max)
 
     def test_overflowing_frequency_rejected(self):
-        # kappa_i overflows to inf; the grid could not be sized
+        # kappa_i overflows to inf: the parameters are outside the domain
         with pytest.raises(ValueError, match=r"a = \(1e\+200, 1e\+200, 0\.0\) at tau = 1e-190"):
             is_cp(ModelParams(a=(1e200, 1e200, 0.0), tau=1e-190))
 
@@ -379,7 +385,7 @@ class TestCriticalFlipParameter:
     def test_boundary_independent_of_tau(self):
         b1 = critical_flip_parameter((1.0, 1.0, 0.0), tau=0.5)
         b2 = critical_flip_parameter((1.0, 1.0, 0.0), tau=2.0)
-        assert b1 == pytest.approx(b2, abs=1e-6)
+        assert b1 == b2
 
     def test_first_scan_at_c_star_over_kappa_min(self, monkeypatch):
         # the search starts where the smallest kappa_i tau equals c*
@@ -418,9 +424,12 @@ class TestCriticalFlipParameter:
             critical_flip_parameter((1.0, weak, 0.0), tau=1.0)
         assert time.perf_counter() - start < 1.0
 
-    def test_overflowing_couplings_rejected(self):
-        with pytest.raises(ValueError, match="tau = 1e-300"):
-            critical_flip_parameter((1.0, 1.0, 0.0), tau=1e-300)
+    @pytest.mark.parametrize("tau", [1e-300, 1e-160, 0.5, 2.0, 1e300])
+    def test_boundary_at_any_tau_is_the_tau_one_value(self, tau):
+        # every scan runs at tau = 1 on a*tau, so couplings a*tau/tau that
+        # would overflow are never formed
+        b1 = critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
+        assert critical_flip_parameter((1.0, 1.0, 0.0), tau=tau) == b1
 
     def test_dephasing_has_no_boundary(self):
         assert critical_flip_parameter((0.0, 0.0, 1.0), tau=1.0) is None
@@ -482,6 +491,34 @@ class TestCriticalFlipParameter:
     def test_returns_builtin_float(self):
         assert type(critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)) is float
         assert type(critical_flip_parameter((1.0, 0.04, 0.0), tau=1.0)) is float
+
+
+class TestVeryLargeCoupling:
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(a=(1e150, 1e150, 1e150), tau=1.0), ModelParams(a=(1.0, 1.0, 0.0), tau=1e150)],
+    )
+    def test_finite_without_warnings(self, params):
+        # kappa tau ~ 1e150: far past anything a scan resolves, but inside
+        # the domain, where every derived quantity is finite
+        rho = bloch_to_density([0.3, -0.4, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = [
+                relaxation_profiles(np.array([0.0, 0.37, 9.5]), params),
+                propagate(rho, 0.37, params),
+                xi(0.37, params),
+                choi_matrix(params, 0.37),
+                damping_spectrum(params),
+                markov_rates(params),
+                params.kappa_taus,
+                params.mu_squared,
+                scan_horizon(params),
+            ]
+            assert all(np.all(np.isfinite(x)) for x in arrays)
+            assert not sufficient_condition(params)
+            assert classify_regime(params)[:2] == (Regime.UNDERDAMPED, Regime.UNDERDAMPED)
+        assert float(np.max(params.kappa_taus)) >= 1e150
 
 
 class TestSufficientCondition:

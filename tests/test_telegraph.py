@@ -138,6 +138,25 @@ class TestModelParams:
         p = ModelParams(a=(3.0, 4.0, 0.0), tau=1.0)
         assert np.allclose(p.kappas, [4.0, 3.0, 5.0], atol=0)
 
+    @pytest.mark.parametrize(
+        "inside, outside",
+        [
+            # (4 kappa_3 tau)^2 = 32 a^2 overflows between these couplings
+            (((2.3e153, 2.3e153, 0.0), 1.0), ((2.4e153, 2.4e153, 0.0), 1.0)),
+            # (4 kappa tau)^2 = 16 tau^2 overflows between these timescales
+            (((1.0, 0.0, 0.0), 3.3e153), ((1.0, 0.0, 0.0), 3.4e153)),
+            # 4 kappa^2 overflows while (4 kappa tau)^2 stays finite
+            (((4.7e153, 0.0, 0.0), 1e-100), ((1e154, 0.0, 0.0), 1e-100)),
+            # kappa itself overflows
+            (((3e153, 3e153, 0.0), 1e-200), ((1e155, 1e155, 0.0), 1e-200)),
+        ],
+    )
+    def test_domain_edge(self, inside, outside):
+        p = ModelParams(*inside)
+        assert np.all(np.isfinite(p.mu_squared)) and np.all(np.isfinite(damping_spectrum(p)))
+        with pytest.raises(ValueError, match=r"a = \(.*\) at tau = .* overflows"):
+            ModelParams(*outside)
+
 
 class TestDampingSpectrum:
     def test_dephasing(self):
@@ -182,7 +201,16 @@ class TestDampingSpectrum:
 class TestRegimes:
     @pytest.mark.parametrize(
         "kappa_tau,expected",
-        [(0.1, Regime.OVERDAMPED), (0.25, Regime.CRITICAL), (0.3, Regime.UNDERDAMPED)],
+        [
+            (0.1, Regime.OVERDAMPED),
+            (0.25, Regime.CRITICAL),
+            (0.3, Regime.UNDERDAMPED),
+            # CRITICAL is the series window, |4 kappa tau - 1| < 1e-6
+            (0.25 * (1.0 + 4e-9), Regime.CRITICAL),
+            (0.25 * (1.0 - 4e-9), Regime.CRITICAL),
+            (0.25 * (1.0 + 2e-6), Regime.UNDERDAMPED),
+            (0.25 * (1.0 - 2e-6), Regime.OVERDAMPED),
+        ],
     )
     def test_classification(self, kappa_tau, expected):
         # dephasing shape makes kappa_1 = kappa_2 = a
@@ -195,6 +223,13 @@ class TestRegimes:
     def test_near_critical_tolerance(self):
         p = ModelParams(a=(0.0, 0.0, 0.25 + 1e-13), tau=1.0)
         assert classify_regime(p)[0] is Regime.CRITICAL
+
+    def test_mu_squared_is_the_profiles(self):
+        # squared by ** as the profile squares it (a numpy square of this
+        # kappa*tau differs in the last bit)
+        kt = 1.134
+        musq = ModelParams(a=(0.0, 0.0, kt), tau=1.0).mu_squared[0]
+        assert musq == (4.0 * kt) ** 2 - 1.0 == 19.575295999999994
 
 
 class TestRelaxationProfile:
@@ -272,6 +307,12 @@ class TestRelaxationProfile:
                 relaxation_profiles(np.array([0.0, nu]), p)
             with pytest.raises(ValueError, match="nu must be >= 0"):
                 propagate(bloch_to_density([0.6, 0.0, 0.0]), nu, p)
+
+    @pytest.mark.parametrize("kt", [-0.1, math.nan, math.inf, 1e154])
+    def test_rejects_kappa_tau_outside_domain(self, kt):
+        # (4 * 1e154)^2 overflows a float
+        with pytest.raises(ValueError, match=r"kappa\*tau must be >= 0 with"):
+            relaxation_profile(0.5, kt)
 
     def test_list_is_an_array_input(self):
         out = relaxation_profile([0.0, 1.0], 0.7)
