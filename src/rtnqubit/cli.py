@@ -336,6 +336,10 @@ def _cmd_markov_compare(cfg: dict) -> int:
         raise UsageError("tau ladder values must be finite and > 0")
     diffusion = 2.0 * a * a * tau0
     gamma = 2.0 * diffusion  # = 4 kappa^2 tau at every rung
+    if not gamma < math.inf:
+        raise UsageError(
+            f"--a1 {a:g} at --tau {tau0:g} overflows the white-noise rate 4 a1^2 tau"
+        )
     t = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
     markov = np.exp(-gamma * t)
     rows = []

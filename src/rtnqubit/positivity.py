@@ -21,8 +21,10 @@ Lambda' = -16 (kappa tau)^2 int_0^nu exp(-2 (nu - s)) Lambda(s) ds and
 |Lambda| <= 1, |xi_j''| <= 8 sum_i (kappa_i tau)^2, so no dip deeper than
 sum_i (kappa_i tau)^2 w^2 below a sampled minimum hides in its two cells (w
 the wider one).  Brackets are rescanned only while such a dip, still above
-machine epsilon, could lower the witness.  The bound does not yet cover a
-dip away from a grid minimum, nor the nu = 0 end of the scan.
+machine epsilon, could lower the witness.  A rescan samples a lone bracket
+at 201 points, so that it shrinks 100-fold per round, and many at 21 each.
+The bound does not yet cover a dip away from a grid minimum, nor the nu = 0
+end of the scan.
 
 Along a ray of couplings the deepest interior dip m(a tau) of min_j xi is
 positive on the CP side and negative past the boundary (the global minimum
@@ -74,8 +76,12 @@ _BASE_GRID_POINTS = 2000
 _MAX_GRID_POINTS = 2_000_000
 _POINTS_PER_PERIOD = 20
 # Refinement: points per bracket rescan, brackets per batch (memory), and the
-# hidden dip at or below which a bracket is lost in the rounding of xi.
+# hidden dip at or below which a bracket is lost in the rounding of xi.  A
+# round of k brackets rescans each at max(21, 201 // k) points: 201 for one
+# bracket, which shrinks it 100-fold where 21 points shrink it 10-fold, and
+# 21 from 10 brackets on, so a round never holds more than 4096 x 21 points.
 _REFINE_POINTS = 21
+_REFINE_POINTS_FEW = 201
 _REFINE_BATCH = 4096
 _EPS = float(np.finfo(float).eps)
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
@@ -103,7 +109,12 @@ def xi(nu, params: ModelParams) -> np.ndarray:
     the identity channel (nu = 0) gives (0, 0, 0, 1).  The components sum
     to 1 identically.
     """
-    l1, l2, l3 = telegraph.relaxation_profiles(nu, params)
+    return _combine(telegraph.relaxation_profiles(nu, params))
+
+
+def _combine(profiles: np.ndarray) -> np.ndarray:
+    # xi from the stacked profiles (Lambda_1, Lambda_2, Lambda_3).
+    l1, l2, l3 = profiles
     out = np.empty((4,) + l1.shape)
     # Grouped so that degenerate profiles cancel exactly: with a single
     # coupling (dephasing) two profiles are bitwise equal and the third is
@@ -215,8 +226,9 @@ def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, in
     positivity and no more, the boundary search a tight margin, which
     makes the value accurate enough for its Newton steps.
     """
+    plan = telegraph._profile_plan(params._components)
     nus = _scan_grid(params, horizon)
-    table = xi(nus, params)
+    table = _combine(telegraph._profiles(nus, plan))
     dip = float(np.sum(params.kappa_taus**2))
     cells = np.diff(nus)
     hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
@@ -224,34 +236,62 @@ def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, in
     rows, cols = np.nonzero(inner < np.minimum(table[:, :-2], table[:, 2:]))
     vals, gap = inner[rows, cols], hidden[cols]
     j, i = np.unravel_index(np.argmin(table), table.shape)
-    worst_val, worst_j, worst_nu = float(table[j, i]), int(j), float(nus[i])
-    if worst_val >= 0.0:
-        worst_val, worst_j, worst_nu = math.inf, 0, 0.0
+    worst = float(table[j, i]), int(j), float(nus[i])
+    if worst[0] >= 0.0:
+        worst = math.inf, 0, 0.0
         if vals.size:
             b = int(np.argmin(vals))
-            worst_val, worst_j, worst_nu = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
+            worst = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
 
     # Rescan a bracket while its hidden dip could lower the running minimum.
-    keep = (vals - gap < worst_val) & (gap > margin * vals) & (gap > _EPS)
+    keep = (vals - gap < worst[0]) & (gap > margin * vals) & (gap > _EPS)
     rows, cols = rows[keep], cols[keep]
     for start in range(0, rows.size, _REFINE_BATCH):
         r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
-        lo, hi = nus[c], nus[c + 2]
-        while r.size:
-            pts, k = np.linspace(lo, hi, _REFINE_POINTS, axis=1), np.arange(r.size)
-            vals = xi(pts, params)[r, k]
-            m = np.argmin(vals, axis=1)
-            low = vals[k, m]
-            b = int(np.argmin(low))
-            if low[b] < worst_val:
-                worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
-            hidden = dip * ((hi - lo) / (_REFINE_POINTS - 1)) ** 2
-            keep = np.nonzero(
-                (low - hidden < worst_val) & (hidden > margin * low) & (hidden > _EPS)
-            )[0]
-            m = np.clip(m[keep], 1, _REFINE_POINTS - 2)
-            r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
-    return worst_val, worst_j, worst_nu
+        worst = _refine(plan, dip, margin, worst, r, nus[c], nus[c + 2])
+    return worst
+
+
+def _refine(plan: tuple, dip: float, margin: float, worst: tuple, r, lo, hi) -> tuple:
+    # Rescan each bracket [lo, hi] of xi row r, then the two cells around
+    # its lowest point, while its hidden dip could lower the running minimum
+    # worst = (value, j, nu); returns the final worst.
+    worst_val = worst[0]
+    while r.size:
+        n = max(_REFINE_POINTS, _REFINE_POINTS_FEW // r.size)
+        pts, step = _rescan_points(lo, hi, n)
+        k = np.arange(r.size)
+        vals = _combine(telegraph._profiles(pts, plan))[r, k]
+        m = vals.argmin(axis=1)
+        low = vals[k, m]
+        b = low.argmin()
+        if low[b] < worst_val:
+            worst_val = float(low[b])
+            worst = worst_val, int(r[b]), float(pts[b, m[b]])
+        hidden = dip * step**2  # each bracket's cell is its step
+        keep = ((low - hidden < worst_val) & (hidden > margin * low) & (hidden > _EPS)).nonzero()[0]
+        m = np.minimum(np.maximum(m[keep], 1), n - 2)
+        r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
+    return worst
+
+
+def _rescan_points(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.linspace(lo, hi, n, axis=1) and its step (hi - lo) / (n - 1), with
+    # linspace's own arithmetic: i * step + lo and the last point hi, or,
+    # when any step is 0 (underflow), i / (n - 1) * (hi - lo) + lo for every
+    # row alike.
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    ticks = np.arange(float(n))
+    if np.count_nonzero(step) == step.size:
+        pts = ticks * step[:, None]
+    else:
+        ticks /= div
+        pts = ticks * delta[:, None]
+    pts += lo[:, None]
+    pts[:, -1] = hi
+    return pts, step
 
 
 def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
@@ -260,7 +300,8 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     Scans all four xi_j over nu in [0, horizon], then rescans the two cells
     around each interior grid minimum, and in turn around each rescan's
     lowest point, while the dip bound of the module docstring leaves room
-    there for a value below the worst one found.  The verdict is negative
+    there for a value below the worst one found.  A round of k brackets
+    rescans each at max(21, 201 // k) points.  The verdict is negative
     exactly when the worst value found lies below -CP_TOLERANCE; the
     witness then records that value and the nu it was evaluated at.
 

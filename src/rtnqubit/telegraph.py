@@ -161,18 +161,47 @@ def _nu_array(nu) -> np.ndarray:
     return nu_arr
 
 
-def _profiles(nu_arr: np.ndarray, components) -> np.ndarray:
-    # The closed form for each regime-table row in components on validated
-    # nu_arr; shape (len(components),) + nu_arr.shape (0-d nu_arr included).
-    # Each branch present is evaluated once for all of its components, their
-    # constants a column against nu, so every component keeps the formula
-    # (and the bits) of its own branch.
-    out = np.ones((len(components),) + nu_arr.shape)  # rows of branch None stay 1
-    column = (-1,) + (1,) * nu_arr.ndim
-    branches = {None: [], Regime.CRITICAL: [], Regime.UNDERDAMPED: [], Regime.OVERDAMPED: []}
+def _profile_plan(components) -> tuple:
+    # The regime grouping of the regime-table rows in components, for
+    # _profiles: their count, then per branch its rows and its constants as
+    # flat arrays (an empty list for an absent branch).  A CP scan builds it
+    # once and evaluates many point sets with it.
+    series, ringing, damped = [], [], []  # branch None stays out: its rows are 1
     for i, (_, musq, branch) in enumerate(components):
-        branches[branch].append((i, musq if branch is Regime.CRITICAL else math.sqrt(abs(musq))))
-    _, series, ringing, damped = branches.values()
+        if branch is Regime.CRITICAL:
+            series.append((i, musq))
+        elif branch is Regime.UNDERDAMPED:
+            ringing.append((i, math.sqrt(musq)))
+        elif branch is Regime.OVERDAMPED:
+            damped.append((i, math.sqrt(-musq)))
+    if series:
+        rows, musq = zip(*series)
+        series = list(rows), np.array(musq)
+    if ringing:
+        rows, mu = zip(*ringing)
+        ringing = list(rows), np.array(mu)
+    if damped:
+        # Constants per component in floats: bitwise equal to the same
+        # arithmetic on a column, and cheaper.
+        rows, mts = zip(*damped)
+        damped = list(rows), np.array(
+            [
+                (0.5 * (1.0 + 1.0 / mt), 0.5 * (1.0 - 1.0 / mt), -(1.0 - mt), -(1.0 + mt))
+                for mt in mts
+            ]
+        ).T
+    return len(components), series, ringing, damped
+
+
+def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
+    # The closed form for each row of a _profile_plan on nu_arr, which the
+    # caller has validated; shape (rows,) + nu_arr.shape (0-d nu_arr
+    # included).  Each branch present is evaluated once for all of its
+    # components, their constants a column against nu, so every component
+    # keeps the formula (and the bits) of its own branch.
+    size, series, ringing, damped = plan
+    out = np.ones((size,) + nu_arr.shape)  # rows of branch None stay 1
+    column = (-1,) + (1,) * nu_arr.ndim
     if series or ringing:
         decay = np.exp(-nu_arr)
     if series:
@@ -180,34 +209,27 @@ def _profiles(nu_arr: np.ndarray, components) -> np.ndarray:
         #   Lambda = e^-nu [(1 + nu) - mu^2 nu^2/2 (1 + nu/3) + O(mu^4)]
         # valid for mu^2 of either sign; truncation error < 1e-10 inside
         # the window.
-        rows, musq = zip(*series)
-        musq = np.array(musq).reshape(column)
-        out[list(rows)] = decay * (
-            (1.0 + nu_arr) - 0.5 * musq * nu_arr**2 * (1.0 + nu_arr / 3.0)
+        rows, musq = series
+        out[rows] = decay * (
+            (1.0 + nu_arr) - 0.5 * musq.reshape(column) * nu_arr**2 * (1.0 + nu_arr / 3.0)
         )
     if ringing:
-        rows, mu = zip(*ringing)
-        mu = np.array(mu).reshape(column)
+        rows, mu = ringing
+        mu = mu.reshape(column)
         # decay * (cos + sin / mu), in place to hold fewer full-size arrays
         phase = mu * nu_arr
         wave = np.sin(phase)
         wave /= mu
         wave += np.cos(phase, out=phase)
         wave *= decay
-        out[list(rows)] = wave
+        out[rows] = wave
     if damped:
         # Overdamped: e^-nu (cosh + sinh/mt) recast as a sum of two
         # decaying exponentials so large nu cannot overflow cosh.
-        # Constants per component in floats: bitwise equal to the same
-        # arithmetic on a column, and cheaper.
-        rows, mts = zip(*damped)
-        slow, fast, slow_rate, fast_rate = np.array(
-            [
-                (0.5 * (1.0 + 1.0 / mt), 0.5 * (1.0 - 1.0 / mt), -(1.0 - mt), -(1.0 + mt))
-                for mt in mts
-            ]
-        ).T.reshape((4,) + column)
-        out[list(rows)] = slow * np.exp(slow_rate * nu_arr) + fast * np.exp(fast_rate * nu_arr)
+        rows, constants = damped
+        slow, fast, slow_rate, fast_rate = constants.reshape((4,) + column)
+        out[rows] = slow * np.exp(slow_rate * nu_arr) + fast * np.exp(fast_rate * nu_arr)
+    # Lambda(0) = 1 exactly, which the damped closed form misses by rounding
     np.copyto(out, 1.0, where=nu_arr == 0.0)
     return out
 
@@ -229,7 +251,7 @@ def relaxation_profile(nu, kappa_tau: float):
     component = _component(kt, 1.0) if kt >= 0.0 else None  # kappa = kt at tau = 1
     if component is None:
         raise ValueError(f"kappa*tau must be >= 0 with (4 kappa*tau)^2 finite, got {kt}")
-    out = _profiles(nu_arr, (component,))[0]
+    out = _profiles(nu_arr, _profile_plan((component,)))[0]
     return float(out) if nu_arr.ndim == 0 else out
 
 
@@ -240,7 +262,7 @@ def relaxation_profiles(nu, params: ModelParams) -> np.ndarray:
     evaluated; propagation, xi and the Choi matrix all start from it.  One
     pass per regime covers every component in that regime.
     """
-    return _profiles(_nu_array(nu), params._components)
+    return _profiles(_nu_array(nu), _profile_plan(params._components))
 
 
 def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ class TestMarkovCompare:
         )
         _, rows = parse_csv(out)
         assert set(np.unique(rows[:, 0])) == {0.5, 0.05}
+
+
+    @pytest.mark.parametrize("argv", [["--a1", "1e200"], ["--a1", "1e150", "--tau", "1e10"]])
+    def test_overflowing_rate_names_a1(self, capsys, argv):
+        # D = 2 a1^2 tau overflows: the error names the inputs, not the
+        # coupling of a ladder rung, and no overflow warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "markov-compare", *argv)
+        assert code == 2
+        assert out == ""
+        assert "--a1" in err and "--tau" in err
+        assert "coupling strengths" not in err
 
 
 class TestVolterraCheck:

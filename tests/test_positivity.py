@@ -28,7 +28,7 @@ from rtnqubit import (
     sufficient_condition,
     xi,
 )
-from rtnqubit import positivity
+from rtnqubit import positivity, telegraph
 
 RNG = np.random.default_rng(99)
 
@@ -55,6 +55,103 @@ def edge_params(rng):
         return ModelParams(a=(0.0, 0.0, kt / tau), tau=tau)
     scale = 0.1 if kind == 2 else 3.0
     return ModelParams(a=tuple(rng.uniform(0.0, scale, 3) / tau), tau=tau)
+
+
+def count_evaluations(monkeypatch):
+    """Record the nu array of every profile evaluation; the CP scan makes
+    one for its grid and one per refinement round."""
+    calls = []
+
+    def counting_profiles(nu, plan):
+        calls.append(nu)
+        return profiles(nu, plan)
+
+    profiles = telegraph._profiles
+    monkeypatch.setattr(telegraph, "_profiles", counting_profiles)
+    return calls
+
+
+def reference_refine(params, dip, margin, worst, r, lo, hi):
+    """The 21-point np.linspace refinement of xi rows, frozen as reference."""
+    worst_val, worst_j, worst_nu = worst
+    while r.size:
+        pts, k = np.linspace(lo, hi, 21, axis=1), np.arange(r.size)
+        vals = xi(pts, params)[r, k]
+        m = np.argmin(vals, axis=1)
+        low = vals[k, m]
+        b = int(np.argmin(low))
+        if low[b] < worst_val:
+            worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
+        hidden = dip * ((hi - lo) / 20) ** 2
+        keep = np.nonzero(
+            (low - hidden < worst_val) & (hidden > margin * low) & (hidden > positivity._EPS)
+        )[0]
+        m = np.clip(m[keep], 1, 19)
+        r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
+    return worst_val, worst_j, worst_nu
+
+
+def reference_scan(params, horizon, margin):
+    """positivity._scan with the frozen refinement, 4096 brackets a batch."""
+    nus = positivity._scan_grid(params, horizon)
+    table = xi(nus, params)
+    dip = float(np.sum(params.kappa_taus**2))
+    cells = np.diff(nus)
+    hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
+    inner = table[:, 1:-1]
+    rows, cols = np.nonzero(inner < np.minimum(table[:, :-2], table[:, 2:]))
+    vals, gap = inner[rows, cols], hidden[cols]
+    j, i = np.unravel_index(np.argmin(table), table.shape)
+    worst = float(table[j, i]), int(j), float(nus[i])
+    if worst[0] >= 0.0:
+        worst = math.inf, 0, 0.0
+        if vals.size:
+            b = int(np.argmin(vals))
+            worst = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
+    keep = (vals - gap < worst[0]) & (gap > margin * vals) & (gap > positivity._EPS)
+    rows, cols = rows[keep], cols[keep]
+    for start in range(0, rows.size, 4096):
+        r, c = rows[start : start + 4096], cols[start : start + 4096]
+        worst = reference_refine(params, dip, margin, worst, r, nus[c], nus[c + 2])
+    return worst
+
+
+def reference_cases():
+    """(params, horizon) pairs: cp_map-like rays at the cp_map ladder, cut
+    horizons, and kappa tau = 1/4 with and without partners."""
+    rng = np.random.default_rng(4242)
+    cases = []
+    for k in range(25):
+        direction = np.concatenate([[1.0], rng.uniform(0.3, 1.0, 2)])
+        if k % 2:
+            direction[2] = 0.0
+        direction = direction[rng.permutation(3)]
+        for a_tau in (0.1, 0.3, 1.0, 3.0, 10.0, 50.0):
+            cases.append(ModelParams(a=tuple(direction * a_tau), tau=1.0))
+    for _ in range(30):
+        cases.append((random_params(rng), float(rng.uniform(0.05, 3.0))))
+    for k in range(30):
+        kt = 0.25 + rng.uniform(-2e-7, 2e-7)
+        partner = (0.0, 0.0) if k % 3 == 0 else (0.0, float(rng.uniform(0.0, 2.0)))
+        cases.append(ModelParams(a=(*partner, kt), tau=1.0))
+    return [
+        case if isinstance(case, tuple) else (case, scan_horizon(case)) for case in cases
+    ]
+
+
+def edge_brackets():
+    """(params, rows, lo, hi) of brackets a scan rarely or never builds: one
+    starting at nu = 0, where the damped closed form misses 1 by rounding,
+    and a batch with a zero-width bracket, whose step is 0."""
+    damped = ModelParams(a=(0.076, 0.063, 0.081), tau=1.0)  # closed form 1 - 1.1e-16 at 0
+    fast = ModelParams(a=(30.0, 30.0, 0.0), tau=1.0)
+    ringing = ModelParams(a=(1.2, 1.2, 0.0), tau=1.0)
+    return [
+        (damped, np.array([0, 1, 2]), np.zeros(3), np.full(3, 0.01)),
+        # from nu = 0 the zero-step arithmetic changes the lowest point's bits
+        (fast, np.array([3, 0]), np.array([0.0, 0.5]), np.array([0.0317, 0.5])),
+        (ringing, np.array([3, 3, 0]), np.array([0.6901, 0.5, 0.5]), np.array([0.6923, 0.5, 0.51])),
+    ]
 
 
 def choi_reference(params, nu):
@@ -289,16 +386,11 @@ class TestIsCp:
 
     def test_bound_ends_refinement_of_dephasing(self, monkeypatch):
         # the first minima of xi_1 and xi_4 pass the grid's dip bound, but
-        # one rescan shows they cannot reach below the witness value 0
-        calls = []
-
-        def counting_xi(nu, params):
-            calls.append(nu)
-            return xi(nu, params)
-
-        monkeypatch.setattr(positivity, "xi", counting_xi)
+        # one rescan shows they cannot reach below the witness value 0: the
+        # grid and that rescan are the scan's only evaluations
+        calls = count_evaluations(monkeypatch)
         assert is_cp(ModelParams(a=(100.0, 0.0, 0.0), tau=1.0)).is_cp
-        assert len(calls) <= 2
+        assert 1 <= len(calls) <= 2
 
     def test_touching_zero_ends_and_is_cp(self):
         # at mu = pi / ln 3 the first minimum of xi_4 is exactly 0 (at
@@ -369,6 +461,73 @@ class TestDipBound:
         assert abs(value) <= 1e-12
         assert nu == pytest.approx(0.91558, abs=1e-5)
         assert depth(c * (1.0 - 1e-9))[0] > 0.0 > depth(c * (1.0 + 1e-9))[0]
+
+
+class TestRefinement:
+    """The refinement rounds against the frozen 21-point linspace reference."""
+
+    def test_same_verdicts_and_witnesses_as_reference(self):
+        non_cp = 0
+        for params, horizon in reference_cases():
+            value, j, nu = positivity._scan(params, horizon, 1.0)
+            ref_value, ref_j, _ = reference_scan(params, horizon, 1.0)
+            assert (value < -CP_TOLERANCE) == (ref_value < -CP_TOLERANCE), (params, horizon)
+            if ref_value < -CP_TOLERANCE:
+                non_cp += 1
+                assert j == ref_j, (params, horizon)
+                assert abs(value - ref_value) <= 1e-12, (params, horizon)
+                assert float(xi(nu, params)[j]) == value
+        assert non_cp >= 60
+
+    def test_edge_brackets_as_reference(self):
+        for params, r, lo, hi in edge_brackets():
+            dip = float(np.sum(params.kappa_taus**2))
+            start = (math.inf, 0, 0.0)
+            plan = telegraph._profile_plan(params._components)
+            value, j, nu = positivity._refine(plan, dip, 1.0, start, r, lo, hi)
+            ref_value, ref_j, ref_nu = reference_refine(params, dip, 1.0, start, r, lo, hi)
+            assert j == ref_j and abs(value - ref_value) <= 1e-12, (params, r, lo, hi)
+
+    def test_lean_rounds_bit_exact_at_21_points(self, monkeypatch):
+        # with every round pinned to 21 points the rounds are the frozen
+        # reference's arithmetic, bit for bit
+        monkeypatch.setattr(positivity, "_REFINE_POINTS_FEW", positivity._REFINE_POINTS)
+        for params, horizon in reference_cases():
+            for margin in (1.0, positivity._DIP_MARGIN):
+                got = positivity._scan(params, horizon, margin)
+                assert got == reference_scan(params, horizon, margin), (params, horizon, margin)
+        for params, r, lo, hi in edge_brackets():
+            start = (math.inf, 0, 0.0)
+            plan = telegraph._profile_plan(params._components)
+            # dip 0 stops after the first round, whose lowest point is then
+            # the witness
+            for dip in (float(np.sum(params.kappa_taus**2)), 0.0):
+                got = positivity._refine(plan, dip, 1.0, start, r, lo, hi)
+                assert got == reference_refine(params, dip, 1.0, start, r, lo, hi)
+
+    @pytest.mark.parametrize("n", [2, 21, 40, 201])
+    def test_rescan_points_are_linspace(self, n):
+        # including a batch with a zero step and one whose step underflows
+        lo = np.array([0.0, 0.5, 1e-300, 5e-324, 2.0])
+        for hi in (lo + np.array([0.01, 1e-9, 1e-301, 0.0, 3.0]), lo + 1e-322, lo + 0.0):
+            hi[-1] = 5.0
+            pts, step = positivity._rescan_points(lo, hi, n)
+            expected, expected_step = np.linspace(lo, hi, n, axis=1, retstep=True)
+            assert np.array_equal(pts, expected) and np.array_equal(step, expected_step)
+
+    def test_rounds_to_machine_epsilon(self, monkeypatch):
+        # (10, 7, 0) is not CP; its witness is refined until the hidden dip
+        # is below machine epsilon: 4 rounds, where 21-point rounds took 7
+        calls = count_evaluations(monkeypatch)
+        assert not is_cp(ModelParams(a=(10.0, 7.0, 0.0), tau=1.0)).is_cp
+        assert 1 <= len(calls) <= 5
+
+    def test_boundary_search_evaluations(self, monkeypatch):
+        # every scan, round and Newton slope of the (1, 1, 0) search: 23,
+        # where 21-point rounds took 30
+        calls = count_evaluations(monkeypatch)
+        critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
+        assert 1 <= len(calls) <= 25
 
 
 class TestCriticalFlipParameter:
