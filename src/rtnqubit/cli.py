@@ -4,7 +4,8 @@ Emits plot-ready tables (CSV or JSON) for the library's analyses: Bloch
 evolution curves, CP eigenvalue scans, the phase-boundary search, Monte
 Carlo validation, the white-noise limit and the Volterra cross-check.
 No plotting dependencies; every command is deterministic given its
-configuration (including the seed).
+configuration (including the seed).  Each command's handler returns its
+table, meta extras, verdict line and exit code, and ``main`` alone emits it.
 
 Exit codes: 0 success, 1 computational verdict failure (where a command
 defines one), 2 usage or configuration error.
@@ -90,29 +91,6 @@ _SHARED = {
     "out": None,
 }
 
-# Each command: its help, and its own options with their defaults.
-_COMMANDS = {
-    "evolve": (
-        "Bloch components and profiles over nu",
-        {"nu_max": 5.0, "steps": 200, "bloch": (1.0, 0.0, 0.0)},
-    ),
-    "cp-scan": ("xi curves plus a CP verdict", {"nu_max": None, "steps": 400}),
-    "critical": ("CP boundary along a coupling direction", {"direction": None}),
-    "mc-validate": (
-        "Monte Carlo vs analytic profiles",
-        {"nu_max": 3.0, "steps": 50, "trajectories": 2000, "bloch": (1.0 / math.sqrt(3.0),) * 3},
-    ),
-    "markov-compare": (
-        "colored-noise profile vs white-noise limit down a tau ladder",
-        {"t_max": 5.0, "steps": 100, "tau_ladder": None},
-    ),
-    "volterra-check": (
-        "quadrature solution vs closed-form profiles",
-        {"nu_max": 10.0, "steps": 10000, "tol": 1e-5},
-    ),
-}
-
-
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -180,7 +158,7 @@ def _json_safe(value):
     return value
 
 
-def _emit(cfg: dict, meta: dict, columns: list, rows: list, verdict: str | None = None) -> None:
+def _emit(cfg: dict, meta: dict, columns: list, rows: list, verdict: str | None) -> None:
     if cfg["format"] == "json":
         payload = {
             "meta": {**meta, "columns": list(columns)},
@@ -214,18 +192,18 @@ def _meta(command: str, cfg: dict, **extra) -> dict:
     return {"command": command, "version": __version__, "config": echo, **extra}
 
 
-def _cmd_evolve(cfg: dict) -> int:
+# A handler maps the effective config to (columns, rows, meta extras, verdict
+# line or None, exit code); it raises UsageError for a bad configuration.
+def _cmd_evolve(cfg: dict) -> tuple:
     params = _model_params(cfg)
     b0 = _bloch_vector(cfg)
     grid = np.linspace(0.0, cfg["nu_max"], cfg["steps"] + 1)
     profiles = telegraph.relaxation_profiles(grid, params)
     rows = np.column_stack([grid, (profiles * b0[:, None]).T, profiles.T]).tolist()
-    columns = ["nu", "b1", "b2", "b3", "lambda1", "lambda2", "lambda3"]
-    _emit(cfg, _meta("evolve", cfg), columns, rows)
-    return 0
+    return ["nu", "b1", "b2", "b3", "lambda1", "lambda2", "lambda3"], rows, {}, None, 0
 
 
-def _cmd_cp_scan(cfg: dict) -> int:
+def _cmd_cp_scan(cfg: dict) -> tuple:
     params = _model_params(cfg)
     if cfg["nu_max"] is not None and cfg["nu_max"] <= 0.0:
         raise UsageError("cp-scan needs a positive nu-max")
@@ -238,21 +216,13 @@ def _cmd_cp_scan(cfg: dict) -> int:
         witness = None
     else:
         w = verdict.witness
-        line = (
-            f"verdict: not completely positive; "
-            f"xi_{w.index}(nu = {w.nu:.9g}) = {w.value:.9e}"
-        )
+        line = f"verdict: not completely positive; xi_{w.index}(nu = {w.nu:.9g}) = {w.value:.9e}"
         witness = {"nu": w.nu, "index": w.index, "value": w.value}
-    meta = _meta(
-        "cp-scan",
-        cfg,
-        verdict={"is_cp": verdict.is_cp, "horizon": verdict.horizon, "witness": witness},
-    )
-    _emit(cfg, meta, ["nu", "xi1", "xi2", "xi3", "xi4"], rows, verdict=line)
-    return 0
+    extra = {"verdict": {"is_cp": verdict.is_cp, "horizon": verdict.horizon, "witness": witness}}
+    return ["nu", "xi1", "xi2", "xi3", "xi4"], rows, extra, line, 0
 
 
-def _cmd_critical(cfg: dict) -> int:
+def _cmd_critical(cfg: dict) -> tuple:
     if cfg["direction"] is None:
         raise UsageError("critical requires --direction d1,d2,d3")
     direction = cfg["direction"]
@@ -267,23 +237,25 @@ def _cmd_critical(cfg: dict) -> int:
         line = f"critical coupling: a*tau = {boundary:.6g}"
         value = boundary
     rows = [[direction[0], direction[1], direction[2], value]]
-    meta = _meta("critical", cfg, verdict={"a_tau_critical": _json_safe(value)})
-    _emit(cfg, meta, ["dir1", "dir2", "dir3", "a_tau_critical"], rows, verdict=line)
-    return 0
+    extra = {"verdict": {"a_tau_critical": _json_safe(value)}}
+    return ["dir1", "dir2", "dir3", "a_tau_critical"], rows, extra, line, 0
 
 
-def _cmd_mc_validate(cfg: dict) -> int:
+def _cmd_mc_validate(cfg: dict) -> tuple:
     params = _model_params(cfg)
     b0 = _bloch_vector(cfg)
     rho0 = linalg.bloch_to_density(b0)
     grid = np.linspace(0.0, cfg["nu_max"], cfg["steps"] + 1)
     n = cfg["trajectories"]
-    if n == 1:
-        mean = montecarlo._trajectories(params, rho0, grid, 1, cfg["seed"])[0]
-        stderr = np.zeros_like(mean)
-    else:
-        result = montecarlo.ensemble_average(params, rho0, grid, n, cfg["seed"])
-        mean, stderr = result.mean_bloch, result.stderr
+    try:
+        if n == 1:
+            mean = montecarlo._trajectories(params, rho0, grid, 1, cfg["seed"])[0]
+            stderr = np.zeros_like(mean)
+        else:
+            result = montecarlo.ensemble_average(params, rho0, grid, n, cfg["seed"])
+            mean, stderr = result.mean_bloch, result.stderr
+    except ValueError as exc:  # a horizon the sampler cannot draw
+        raise UsageError(f"--nu-max {cfg['nu_max']:g} at --tau {cfg['tau']:g}: {exc}") from exc
 
     profiles = telegraph.relaxation_profiles(grid, params)  # (3, npts)
     # compare against the Bloch vector the trajectories actually started
@@ -303,28 +275,20 @@ def _cmd_mc_validate(cfg: dict) -> int:
     passed = fraction >= 0.95
 
     rows = np.column_stack([grid, analytic.T, mean, stderr, z.T]).tolist()
-    columns = (
-        ["nu"]
-        + [f"analytic_b{k}" for k in (1, 2, 3)]
-        + [f"mc_mean{k}" for k in (1, 2, 3)]
-        + [f"mc_se{k}" for k in (1, 2, 3)]
-        + [f"z{k}" for k in (1, 2, 3)]
-    )
+    names = ("analytic_b", "mc_mean", "mc_se", "z")
+    columns = ["nu"] + [f"{name}{k}" for name in names for k in (1, 2, 3)]
     line = (
         f"z-check: {fraction:.4f} of points within |z| <= 3 "
         f"({'pass' if passed else 'FAIL'}, N = {n})"
     )
-    meta = _meta(
-        "mc-validate",
-        cfg,
-        contract_version=montecarlo.CONTRACT_VERSION,
-        verdict={"fraction_within_3se": fraction, "passed": passed},
-    )
-    _emit(cfg, meta, columns, rows, verdict=line)
-    return 0 if passed else 1
+    extra = {
+        "contract_version": montecarlo.CONTRACT_VERSION,
+        "verdict": {"fraction_within_3se": fraction, "passed": passed},
+    }
+    return columns, rows, extra, line, 0 if passed else 1
 
 
-def _cmd_markov_compare(cfg: dict) -> int:
+def _cmd_markov_compare(cfg: dict) -> tuple:
     a = cfg["a1"]
     if not (a > 0.0 and math.isfinite(a)):
         raise UsageError("markov-compare needs a positive coupling --a1")
@@ -345,16 +309,21 @@ def _cmd_markov_compare(cfg: dict) -> int:
     rows = []
     for tau_k in ladder:
         a_k = math.sqrt(diffusion / (2.0 * tau_k))
-        params = _model_params({"a1": 0.0, "a2": 0.0, "a3": a_k, "tau": tau_k})  # kappa_1 = a_k
+        try:
+            params = ModelParams(a=(0.0, 0.0, a_k), tau=tau_k)  # kappa_1 = a_k
+        except ValueError as exc:
+            raise UsageError(
+                f"--a1 {a:g} at --tau {tau0:g} overflows 4 kappa^2 or (4 kappa tau)^2"
+                f" at --tau-ladder value {tau_k:g}"
+            ) from exc
         colored = telegraph.relaxation_profiles(t / (2.0 * tau_k), params)[0]
         rung, diff = np.full_like(t, tau_k), np.abs(colored - markov)
         rows += np.column_stack([rung, t, colored, markov, diff, np.full_like(t, gamma)]).tolist()
     columns = ["tau", "t", "lambda_colored", "lambda_markov", "abs_diff", "gamma"]
-    _emit(cfg, _meta("markov-compare", cfg), columns, rows)
-    return 0
+    return columns, rows, {}, None, 0
 
 
-def _cmd_volterra_check(cfg: dict) -> int:
+def _cmd_volterra_check(cfg: dict) -> tuple:
     params = _model_params(cfg)
     if cfg["steps"] < 2:
         raise UsageError("volterra-check needs at least 2 quadrature steps")
@@ -378,19 +347,31 @@ def _cmd_volterra_check(cfg: dict) -> int:
         f"max deviation {worst:.6e} vs tolerance {cfg['tol']:g} "
         f"({'pass' if passed else 'FAIL'}, {cfg['steps']} steps)"
     )
-    verdict = {"max_abs_deviation": _json_safe(worst), "passed": passed}
-    meta = _meta("volterra-check", cfg, verdict=verdict)
-    _emit(cfg, meta, ["component", "kappa_tau", "max_abs_deviation"], rows, verdict=line)
-    return 0 if passed else 1
+    extra = {"verdict": {"max_abs_deviation": _json_safe(worst), "passed": passed}}
+    return ["component", "kappa_tau", "max_abs_deviation"], rows, extra, line, 0 if passed else 1
 
 
-_DISPATCH = {
-    "evolve": _cmd_evolve,
-    "cp-scan": _cmd_cp_scan,
-    "critical": _cmd_critical,
-    "mc-validate": _cmd_mc_validate,
-    "markov-compare": _cmd_markov_compare,
-    "volterra-check": _cmd_volterra_check,
+# Each command: its handler, its help, and its own options with their defaults.
+_COMMANDS = {
+    "evolve": (
+        _cmd_evolve, "Bloch components and profiles over nu",
+        {"nu_max": 5.0, "steps": 200, "bloch": (1.0, 0.0, 0.0)},
+    ),
+    "cp-scan": (_cmd_cp_scan, "xi curves plus a CP verdict", {"nu_max": None, "steps": 400}),
+    "critical": (_cmd_critical, "CP boundary along a coupling direction", {"direction": None}),
+    "mc-validate": (
+        _cmd_mc_validate, "Monte Carlo vs analytic profiles",
+        {"nu_max": 3.0, "steps": 50, "trajectories": 2000, "bloch": (1.0 / math.sqrt(3.0),) * 3},
+    ),
+    "markov-compare": (
+        _cmd_markov_compare,
+        "colored-noise profile vs white-noise limit down a tau ladder",
+        {"t_max": 5.0, "steps": 100, "tau_ladder": None},
+    ),
+    "volterra-check": (
+        _cmd_volterra_check, "quadrature solution vs closed-form profiles",
+        {"nu_max": 10.0, "steps": 10000, "tol": 1e-5},
+    ),
 }
 
 
@@ -413,7 +394,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "under random telegraph noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, defaults) in _COMMANDS.items():
+    for command, (_, text, defaults) in _COMMANDS.items():
         _add_options(sub.add_parser(command, parents=[common], help=text), defaults)
     return parser, sub.choices
 
@@ -432,7 +413,10 @@ def main(argv=None) -> int:
                 argv[argv.index(args.command) + 1 :],
                 argparse.Namespace(command=args.command, **values),
             )
-        return _DISPATCH[args.command](_effective_config(args))
+        cfg = _effective_config(args)
+        columns, rows, extra, line, code = _COMMANDS[args.command][0](cfg)
+        _emit(cfg, _meta(args.command, cfg, **extra), columns, rows, line)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:

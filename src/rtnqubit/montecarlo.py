@@ -231,6 +231,8 @@ class EnsembleResult:
 # module docstring): any change to them, _BLOCK included, bumps it.
 CONTRACT_VERSION = 2
 _BLOCK = 1024
+# The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
+_MAX_MEAN_FLIPS = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -247,15 +249,21 @@ def _blocks(a, tau: float, t_max: float, n: int, seed: int):
     a Philox stream whose two-word spawn key (_BLOCK, b) can never equal a
     one-word ``trajectory_rng`` key.  ``amps`` (size, 3) are the signed
     couplings; flip j flips axis ``owner[j] % 3`` of the block's trajectory
-    ``owner[j] // 3`` at ``time[j]``, grouped by owner but not sorted.
+    ``owner[j] // 3`` at ``time[j]``, grouped by owner but not sorted.  A
+    zero horizon draws no flips.
     """
-    if not (0.0 < tau < math.inf and 0.0 < t_max < math.inf):
-        raise ValueError("tau and t_max must be finite and > 0")
+    if not (0.0 < tau < math.inf and 0.0 <= t_max < math.inf):
+        raise ValueError("tau must be finite and > 0, and t_max finite and >= 0")
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("amplitude must be finite")
     axes = np.flatnonzero(a)  # a zero coupling draws nothing
     mean_flips = t_max / (2.0 * tau)
+    if not mean_flips <= _MAX_MEAN_FLIPS:
+        raise ValueError(
+            f"t_max = {t_max:g} at tau = {tau:g} asks for {mean_flips:.3g} flips per axis on"
+            f" average; the sampler draws at most {_MAX_MEAN_FLIPS:.3g}"
+        )
     for start in range(0, n, _BLOCK):
         rng = np.random.Generator(
             np.random.Philox(
@@ -274,12 +282,10 @@ def _blocks(a, tau: float, t_max: float, n: int, seed: int):
 
 def _trajectories(params: ModelParams, rho0, grid, n: int, seed: int) -> np.ndarray:
     """Bloch rows (n, len(grid), 3) of the n trajectories of ensemble ``seed``."""
-    # an all-zero grid still needs paths with a positive horizon
-    t_max = float(2.0 * params.tau * grid[-1]) or 2.0 * params.tau
     b0 = linalg.density_to_bloch(rho0)
     t_grid = (2.0 * params.tau) * grid
     out = np.empty((n, grid.size, 3))
-    for start, amps, owner, time in _blocks(params.a, params.tau, t_max, n, seed):
+    for start, amps, owner, time in _blocks(params.a, params.tau, t_grid[-1], n, seed):
         out[start : start + amps.shape[0]] = _evolve(amps, owner, time, b0, t_grid)
     return out
 
@@ -323,7 +329,7 @@ def signal_samples(tau: float, a: float, times, n_paths: int, seed: int) -> np.n
     times = np.asarray(times, dtype=float)
     if not (times.size and np.all((times >= 0.0) & (times < math.inf))):
         raise ValueError("times must be non-empty, finite and >= 0")
-    t_max = float(np.max(times)) or float(tau)
+    t_max = float(np.max(times))
     order = np.argsort(times, kind="stable")
     m = times.size
     out = np.empty((int(n_paths), m))

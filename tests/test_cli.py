@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+UNDRAWABLE = "--nu-max 1e+300 at --tau 1: t_max = 2e+300 at tau = 1 asks for 1e+300 flips"
 
 
 def parse_csv(text):
@@ -219,17 +223,26 @@ class TestMarkovCompare:
         assert set(np.unique(rows[:, 0])) == {0.5, 0.05}
 
 
-    @pytest.mark.parametrize("argv", [["--a1", "1e200"], ["--a1", "1e150", "--tau", "1e10"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a1", "1e200"],
+            ["--a1", "1e150", "--tau", "1e10"],
+            ["--a1", "1e100", "--tau-ladder", "1e200"],
+        ],
+    )
     def test_overflowing_rate_names_a1(self, capsys, argv):
-        # D = 2 a1^2 tau overflows: the error names the inputs, not the
-        # coupling of a ladder rung, and no overflow warning precedes it
+        # D = 2 a1^2 tau, or (4 kappa tau)^2 at a ladder rung, overflows: the
+        # error names the inputs, not the coupling (0, 0, a_k) of a rung, and
+        # no overflow warning precedes it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "markov-compare", *argv)
         assert code == 2
         assert out == ""
         assert "--a1" in err and "--tau" in err
-        assert "coupling strengths" not in err
+        assert all(flag in err for flag in argv[::2])
+        assert "coupling strengths" not in err and "a = (" not in err
 
 
 class TestVolterraCheck:
@@ -400,6 +413,9 @@ class TestConfigAndOutput:
             (["cp-scan", "--a1", "1e200"], "invalid model parameters"),
             (["mc-validate", "--a1", "1e200", "--trajectories", "2"], "invalid model parameters"),
             (["volterra-check", "--a1", "1e200"], "invalid model parameters"),
+            # a mean flip count of 1e300 per axis is past what the sampler draws
+            (["mc-validate", "--nu-max", "1e300", "--trajectories", "1"], UNDRAWABLE),
+            (["mc-validate", "--nu-max", "1e300", "--trajectories", "2"], UNDRAWABLE),
         ],
     )
     def test_non_finite_values_usage_error(self, capsys, argv, message):
@@ -415,3 +431,66 @@ class TestConfigAndOutput:
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(capsys, "transmogrify")
         assert code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The argv of each `rtnqubit ...` line in the README's "Command line" block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("rtnqubit ")
+    ]
+
+
+# Each command at its defaults; critical has no default direction.
+DEFAULTS = {
+    "evolve": [],
+    "cp-scan": [],
+    "critical": ["--direction", "1,1,0"],
+    "mc-validate": [],
+    "markov-compare": [],
+    "volterra-check": [],
+}
+
+
+class TestDocumentedRuns:
+    def test_readme_lists_every_command(self):
+        assert sorted(argv[0] for argv in readme_examples()) == sorted(DEFAULTS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_readme_example_runs(self, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            assert json.loads(out)["rows"]
+        else:
+            assert parse_csv(out)[1].size
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_defaults_exit_as_documented(self, capsys, command, fmt):
+        # mc-validate's default two-axis model fails its z-check against the
+        # closed form (README, "Command line"); every other default passes
+        code, out, _ = run(capsys, command, *DEFAULTS[command], "--format", fmt)
+        assert code == (1 if command == "mc-validate" else 0)
+        assert out
+
+    EXTRAS = {
+        "cp-scan": ["verdict"],
+        "critical": ["verdict"],
+        "mc-validate": ["contract_version", "verdict"],
+        "volterra-check": ["verdict"],
+    }
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_json_meta_key_order(self, capsys, command):
+        _, out, _ = run(capsys, command, *DEFAULTS[command], "--format", "json")
+        meta = json.loads(out)["meta"]
+        expected = ["command", "version", "config", *self.EXTRAS.get(command, []), "columns"]
+        assert list(meta) == expected

@@ -228,6 +228,32 @@ class TestBlockSampler:
         )
         assert np.all(rows == density_to_bloch(rho0))
 
+    def test_undrawable_horizon_refused(self):
+        # numpy's Poisson sampler refuses a mean above about 9.22e18; the
+        # sampler refuses first, naming the inputs, before drawing anything
+        limit = montecarlo._MAX_MEAN_FLIPS
+        with pytest.raises(ValueError, match=r"t_max = 2e\+300 at tau = 1 asks for 1e\+300"):
+            next(montecarlo._blocks((1.0, 0.0, 0.0), 1.0, 2e300, 2, seed=0))
+        with pytest.raises(ValueError, match="the sampler draws at most 9.22e\\+18"):
+            next(montecarlo._blocks((1.0, 0.0, 0.0), 0.5, math.nextafter(limit, math.inf), 2, 0))
+        p = ModelParams(a=(1.0, 1.0, 0.0), tau=1e-300)
+        with pytest.raises(ValueError, match="at tau = 1e-300 asks for 1e\\+19 flips"):
+            ensemble_average(p, bloch_to_density([1.0, 0.0, 0.0]), [0.0, 1e19], 2, seed=0)
+
+    def test_zero_horizon_draws_no_flips(self):
+        # the coins are drawn first, so the signs match a positive horizon's
+        amps, owner, time = sample_blocks((1.0, 0.0, 0.5), 1.0, 0.0, 1500, seed=3)
+        assert owner.size == 0 and time.size == 0
+        assert np.array_equal(amps, sample_blocks((1.0, 0.0, 0.5), 1.0, 5.0, 1500, seed=3)[0])
+        rho0 = bloch_to_density([0.3, -0.2, 0.5])
+        rows = montecarlo._trajectories(
+            ModelParams(a=(1.0, 0.7, 0.4), tau=1.0), rho0, np.zeros(3), 50, seed=3
+        )
+        assert np.all(rows == density_to_bloch(rho0))
+        vals = signal_samples(1.0, 1.3, [0.0, 0.0], 50, seed=4)
+        assert np.array_equal(vals, np.repeat(vals[:, :1], 2, axis=1))
+        assert set(np.unique(vals)) == {-1.3, 1.3}
+
     @pytest.mark.parametrize("axis", range(3))
     def test_single_axis_noise_conserves_aligned_component(self, axis):
         a = [0.0, 0.0, 0.0]
