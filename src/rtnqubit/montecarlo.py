@@ -25,7 +25,11 @@ results within one contract version.  The trajectories of an ensemble are
 evolved together, in one loop over their merged flip-and-grid timelines,
 and each takes exactly the rotations, in the same order, that it would
 take alone.  A step of zero length is an identity rotation, and whether
-the field lies along one axis is decided once per ensemble.
+the field lies along one axis is decided once per ensemble.  The timeline
+runs in windows of a fixed number of (step, trajectory) slots: a window's
+step angles, their cosines and sines and its axis signs are computed
+before its loop, which only rotates and keeps each step's Bloch vector,
+and one gather then reads the grid rows the window recorded.
 ``trajectory_rng`` and ``sample_path`` draw one path at a time from a
 per-(seed, index) stream, a different stream family from the blocks.
 """
@@ -108,27 +112,6 @@ def sample_path(tau: float, a: float, t_max: float, rng: np.random.Generator) ->
     return TelegraphPath(amplitude=amplitude, flip_times=np.array(flips), tau=tau, t_max=t_max)
 
 
-def _rotate(b, axis, angle, i):
-    # Rotates Bloch vectors b (3, n) in place about unit axes by angles.  A
-    # field along axis i leaves b[i] untouched (an exact constant of the
-    # motion, which tests rely on); any other field takes Rodrigues' formula.
-    c = np.cos(angle)
-    s = np.sin(angle)
-    if i is not None:
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s *= axis[i]
-        b[j], b[k] = b[j] * c - b[k] * s, b[k] * c + b[j] * s
-        return
-    bx, by, bz = b
-    kx, ky, kz = axis
-    dot = (kx * bx + ky * by + kz * bz) * (1.0 - c)
-    b[:] = (
-        bx * c + (ky * bz - kz * by) * s + kx * dot,
-        by * c + (kz * bx - kx * bz) * s + ky * dot,
-        bz * c + (kx * by - ky * bx) * s + kz * dot,
-    )
-
-
 def _nu_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     ok = grid.ndim == 1 and grid.size and grid[0] >= 0.0 and grid[-1] < math.inf
@@ -137,47 +120,154 @@ def _nu_grid(grid) -> np.ndarray:
     return grid
 
 
+# Timeline slots (steps x trajectories) that _evolve runs per window: its
+# per-window buffers (trig, axis signs, history) stay bounded at any horizon.
+_WINDOW = 1 << 15
+# Axis of each row of the rolled (y, z, x, y, z) layout, in which the cross
+# product k x b is two products of contiguous three-row slices.
+_ROLLED = np.array([1, 2, 0, 1, 2])
+
+
+def _time_ranks(time) -> np.ndarray:
+    # Rank of each time among the distinct times, as np.unique's inverse,
+    # with fewer flip-sized arrays alive at once.
+    by_time = np.argsort(time)
+    new = np.diff(time[by_time]) != 0.0
+    rank = np.zeros_like(by_time)
+    rank[by_time[1:]] = np.cumsum(new)
+    return rank
+
+
+def _timeline(owner, time, t_grid, n):
+    """Merged flip-and-grid timelines of n trajectories, one row each.
+
+    Row i holds trajectory i's flips up to the last grid time and the grid
+    times, a flip first at a tie; shorter rows end with repeats of the last
+    grid row.  Returns ``times`` and ``kinds`` (n, steps + 1), whose column
+    s + 1 holds the time step s ends at and the axis it then flips (3 for
+    none; column 0 is the start), and ``rec`` (n, len(t_grid)), the step
+    that records each grid row: the last row is read at the final step, the
+    last of its repeated records.
+    """
+    m, t_end = t_grid.size, t_grid[-1]
+    kept = time <= t_end
+    time = time[kept]
+    # np.lexsort((time, col)) order from integer keys, at a fraction of its
+    # cost: equal times share a rank, and the stable sort keeps input order
+    key = _time_ranks(time)
+    key += owner[kept] // 3 * time.size
+    order = np.argsort(key, kind="stable")
+    col, kind = np.divmod(owner[kept][order], 3)
+    time = time[order]
+    del kept, key, order  # the flips' arrays bound the peak memory
+    first = np.searchsorted(t_grid, time)  # grid times strictly before the flip
+    count = np.bincount(col, minlength=n)
+    steps = m + int(count.max())
+    rec = np.cumsum(np.bincount(col * m + first, minlength=n * m).reshape(n, m), axis=1)
+    rec += np.arange(m)
+    rec[:, -1] = steps - 1
+    del col
+    # flat index of each flip: its row, its rank in the row, the grid rows before it
+    at = np.repeat(np.arange(n) * (steps + 1) + 1 - (np.cumsum(count) - count), count)
+    at += np.arange(at.size)
+    at += first
+    del first
+    times = np.full((n, steps + 1), t_end)
+    times[:, 0] = 0.0
+    times.ravel()[rec[:, :-1] + 1 + np.arange(n)[:, None] * (steps + 1)] = t_grid[:-1]
+    times.ravel()[at] = time
+    kinds = np.full((n, steps + 1), 3, dtype=np.int8)
+    kinds.ravel()[at] = kind
+    return times, kinds, rec
+
+
 def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
     """Bloch rows at ``t_grid`` of each trajectory: (n, len(t_grid), 3).
 
     ``amps`` (n, 3) holds each trajectory's signed initial couplings, and
     flip j (in any order) flips axis ``owner[j] % 3`` of trajectory
-    ``owner[j] // 3`` at ``time[j]``.  Timeline column i holds trajectory
-    i's flips up to the last grid time and the grid times, a flip first at
-    a tie; shorter columns end with repeats of the last grid row.  Each step
-    rotates every trajectory about its field up to the step's time (a step
-    of zero length is an identity rotation: only the sign of a zero may
-    change), then flips axis component ``kind`` < 3 or records grid row
-    ``row`` (kind 3), so each trajectory takes the rotations it would take
-    alone.  Every trajectory has the same nonzero couplings at every step,
-    so whether the field lies along one axis ``i`` is decided once.
+    ``owner[j] // 3`` at ``time[j]``.  Each step of the merged timeline (see
+    ``_timeline``) rotates every trajectory about its field up to the step's
+    time (a step of zero length is an identity rotation: only the sign of a
+    zero may change), then flips one axis or records a grid row, so each
+    trajectory takes the rotations it would take alone.  Every trajectory
+    has the same nonzero couplings at every step, so whether the field lies
+    along one axis ``i`` (which leaves b[i] untouched) is decided once.
+
+    The steps run in windows of ``_WINDOW`` slots.  A window's angles, their
+    cosines and sines and its axis signs are computed before its loop, which
+    only rotates and keeps each step's vector; one gather then reads the
+    grid rows the window recorded.
     """
-    n, m, t_end = amps.shape[0], t_grid.size, t_grid[-1]
+    n, m = amps.shape[0], t_grid.size
     g = np.sqrt((amps * amps).sum(axis=1))
     if not np.all(g < math.inf):
         raise ValueError("field magnitude overflows: a1^2 + a2^2 + a3^2 is not finite")
     axis = amps.T / np.where(g > 0.0, g, 1.0)
     aligned = np.flatnonzero(axis.any(axis=1))
     i = int(aligned[0]) if aligned.size == 1 else None
-    flip = 1.0 - 2.0 * np.eye(4, 3)  # axis signs by kind: 0-2 flip that axis, 3 none
-    keep = np.flatnonzero(time <= t_end)
-    keep = keep[np.lexsort((time[keep], owner[keep] // 3))]  # stable: axis order at ties
-    time, col = time[keep], owner[keep] // 3
-    count = np.bincount(col, minlength=n)
-    slot = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
-    slot += np.searchsorted(t_grid, time)  # grid times strictly before the flip
-    kinds = np.full((m + count.max(), n), 3, dtype=np.int8)
-    kinds[slot, col] = owner[keep] % 3
-    rows = np.minimum(np.cumsum(kinds == 3, axis=0) - 1, m - 1)
-    times = t_grid[rows]
-    times[slot, col] = time
-    b = np.repeat(b0[:, None], n, axis=1)
-    out, t_cur = np.empty((n, m, 3)), np.zeros(n)
-    for t, kind, row in zip(times, kinds, rows):
-        _rotate(b, axis, 2.0 * g * (t - t_cur), i)
-        axis *= flip[kind].T
-        t_cur, r = t, kind == 3
-        out[r, row[r]] = b[:, r].T
+    times, kinds, rec = _timeline(owner, time, t_grid, n)
+    steps = times.shape[1] - 1
+    times, kinds = times.T.copy(), kinds.T.copy()  # step-major, for the windows
+    if i is None:  # Rodrigues' formula, b and k in the rolled layout
+        layout, k, k_axes = _ROLLED, axis[_ROLLED], _ROLLED
+    else:  # rows (i + 1, i + 2, i) mod 3: the first two turn by s * k_i, b_i stays
+        layout = np.array([(i + 1) % 3, (i + 2) % 3, i])
+        k, k_axes = axis[i : i + 1].copy(), [i]
+    b = np.repeat(b0[layout, None], n, axis=1)
+    p, q, dot = np.empty((3, n)), np.empty((3, n)), np.empty(n)
+    w = min(steps, max(1, _WINDOW // n))
+    hist = np.empty((w, 3, n))  # each step's b[-3:], rows layout[-3:]
+    # hist index of each (trajectory, grid row) for a window at step 0, and
+    # the offset of each axis's row
+    at, offsets = rec * (3 * n) + np.arange(n)[:, None], np.argsort(layout[-3:]) * n
+    out = np.empty((n, m, 3))
+    for w0 in range(0, steps, w):
+        w1 = min(w0 + w, steps)
+        angle = times[w0 + 1 : w1 + 1] - times[w0:w1]
+        angle *= 2.0 * g
+        c, s = np.cos(angle), np.sin(angle)
+        sign = np.empty((w1 - w0, k.shape[0], n))  # -1 where a step flips k's axis, else 1
+        for r, a in enumerate(k_axes):
+            np.equal(kinds[w0 + 1 : w1 + 1], a, out=sign[:, r])
+        sign *= -2.0
+        sign += 1.0
+        if i is None:
+            # k x b = k[:3] b[1:4] - k[1:4] b[:3] in rows (x, y, z)
+            bx, b1, b2, kx, k1, k2 = b[2:], b[1:4], b[:3], k[2:], k[:3], k[1:4]
+            p0, p1, p2, head, tail = p[0], p[1], p[2], b[:2], b[3:]
+            for ht, ct, st, ot, ft in zip(hist, c, s, 1.0 - c, sign):
+                np.multiply(kx, bx, out=p)
+                np.add(p0, p1, out=dot)
+                dot += p2
+                dot *= ot
+                np.multiply(k1, b1, out=p)
+                np.multiply(k2, b2, out=q)
+                p -= q
+                p *= st
+                np.multiply(bx, ct, out=q)
+                q += p
+                np.multiply(kx, dot, out=p)
+                np.add(q, p, out=bx)
+                head[...] = tail
+                ht[...] = bx
+                k *= ft
+        else:
+            bj, bk, bjk, pjk, qjk, sk, ki = b[0], b[1], b[:2], p[:2], q[:2], np.empty(n), k[0]
+            p0, p1, q0, q1 = p[0], p[1], q[0], q[1]
+            for ht, ct, st, ft in zip(hist, c, s, sign):
+                np.multiply(st, ki, out=sk)
+                np.multiply(bjk, ct, out=pjk)
+                np.multiply(bjk, sk, out=qjk)
+                np.subtract(p0, q1, out=bj)
+                np.add(p1, q0, out=bk)
+                ht[...] = b
+                k *= ft
+        # the rows this window recorded; a row recorded later reads garbage
+        # here until its own window, and rows of earlier windows are kept
+        done = rec >= w0 if w0 else True
+        for d, offset in enumerate(offsets - w0 * 3 * n):
+            np.copyto(out[..., d], np.take(hist, at + offset, mode="clip"), where=done)
     return out
 
 

