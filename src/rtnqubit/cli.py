@@ -298,12 +298,14 @@ def _cmd_markov_compare(cfg: dict) -> tuple:
     ladder = cfg["tau_ladder"] or (tau0, tau0 / 10.0, tau0 / 100.0)
     if not all(0.0 < t < math.inf for t in ladder):
         raise UsageError("tau ladder values must be finite and > 0")
-    try:  # kappa_1 = a1, so gamma = 4 kappa_1^2 tau, the same at every rung
-        gamma = float(telegraph.markov_rates(ModelParams(a=(0.0, 0.0, a), tau=tau0))[0])
-    except ValueError as exc:
-        raise UsageError(
-            f"--a1 {a:g} at --tau {tau0:g} overflows the white-noise rate 4 a1^2 tau"
-        ) from exc
+    # kappa_1 = a1, so gamma = 4 kappa_1^2 tau, the same at every rung; read
+    # at tau = 1 and scaled, so that only gamma itself need be finite
+    try:
+        gamma = float(telegraph.markov_rates(ModelParams(a=(0.0, 0.0, a), tau=1.0))[0]) * tau0
+    except ValueError:
+        gamma = math.inf
+    if not math.isfinite(gamma):
+        raise UsageError(f"--a1 {a:g} at --tau {tau0:g} overflows the white-noise rate 4 a1^2 tau")
     diffusion = gamma / 2.0
     t = np.linspace(0.0, cfg["t_max"], cfg["steps"] + 1)
     markov = np.exp(-gamma * t)

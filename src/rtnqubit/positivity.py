@@ -30,9 +30,15 @@ Along a ray of couplings the deepest interior dip m(a tau) of min_j xi is
 positive on the CP side and negative past the boundary (the global minimum
 is no use: xi_1..3(0) = 0, so it is flat at 0 on the CP side).  The search
 starts at c*/kappa_min, near which every direction with two or more nonzero
-couplings has its boundary (one-axis directions have none), and takes
-Newton steps, safeguarded by bisection, toward m = -CP_TOLERANCE, where the
-verdict flips; two scans delta = 1e-6 max(1, b) apart certify the result.
+couplings has its boundary (one-axis directions have none).  One scan
+there finds a dip; Newton steps on that one dip, each reading xi_j on a
+3 x 3 stencil in (nu, a tau), solve xi_j = -CP_TOLERANCE, d xi_j / d nu = 0
+for the a tau where it touches the verdict threshold.  The result b, just
+below that, is certified to delta = 1e-6 max(1, b): one scan proves the map
+CP at b, and a closed-form xi_j value below -CP_TOLERANCE at the dip proves
+it not CP at b + delta.  A certifying scan that is not CP hands its witness
+to the next Newton solve; a solve that leaves its safeguards drops to
+Newton steps on full scans, safeguarded by bisection.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -86,13 +92,16 @@ _REFINE_BATCH = 4096
 _EPS = float(np.finfo(float).eps)
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
 _CRITICAL_CROSSING = 2.289281414562872
-# The boundary search refines a positive dip until the dip bound proves it
-# positive to this relative margin, so that its Newton steps see the dip's
-# value, not the grid's.
+# Once the boundary search falls back to Newton steps on full scans, each
+# scan refines a positive dip until the dip bound proves it positive to this
+# relative margin, so that the steps see the dip's value, not the grid's.
 _DIP_MARGIN = 1e-6
 # Root c* of min over nu > 0 of [1 + Lambda(nu; c) - 2 exp(-nu)] = 0, touched
 # at nu ~= 0.91558: the boundary search starts at c*/kappa_min.
 _C_STAR = 0.7058598262632272
+# Most stencil steps the tangency Newton takes before the boundary search
+# falls back to its bracketed scan steps.
+_TANGENCY_STEPS = 8
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
@@ -321,6 +330,47 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     return CpVerdict(is_cp=True, witness=None, horizon=horizon)
 
 
+def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | None:
+    """Where the dip of xi_j near nu first reaches -CP_TOLERANCE along the ray.
+
+    Newton steps on (xi_j + CP_TOLERANCE, d xi_j / d nu) = 0 in (nu, a*tau),
+    from (nu, s), ``at`` mapping a*tau to its ModelParams.  Each step reads
+    one profile evaluation on a 3 x 3 stencil: nu -+ 1e-3 w, with
+    w = min(nu, 1/mu_max) so that it resolves the fastest period, and
+    a*tau -+ 1e-5 a*tau w / nu, which moves that period's phase at nu as
+    little.  Returns (a*tau, nu, d nu / d a*tau along the dip) once a step
+    moves a*tau by at most 1e-5 max(1, a*tau) and nu by at most a stencil
+    width; None when a step finds the dip not convex or not deepening along
+    the ray, moves a*tau by over half of itself or nu by over w, or
+    _TANGENCY_STEPS steps do not converge.
+    """
+    for _ in range(_TANGENCY_STEPS):
+        center = at(s)
+        real = [musq for _, musq, branch in center._components if branch is Regime.UNDERDAMPED]
+        width = min(nu, 1.0 / math.sqrt(max(real))) if real else nu
+        hn, ha = 1e-3 * width, 1e-5 * s * (width / nu)
+        rows = at(s - ha)._components + center._components + at(s + ha)._components
+        grid = telegraph._profiles(np.array([nu - hn, nu, nu + hn]), telegraph._profile_plan(rows))
+        # rows a*tau - ha, a*tau, a*tau + ha; columns nu - hn, nu, nu + hn
+        low, mid, high = _combine(grid.reshape(3, 3, 3).swapaxes(0, 1))[j].tolist()
+        value = mid[1] + CP_TOLERANCE
+        f_n = (mid[2] - mid[0]) / (2.0 * hn)
+        f_nn = (mid[2] - 2.0 * mid[1] + mid[0]) / (hn * hn)
+        f_s = (high[1] - low[1]) / (2.0 * ha)
+        f_ns = (high[2] - high[0] - low[2] + low[0]) / (4.0 * hn * ha)
+        det = f_n * f_ns - f_s * f_nn
+        if not (f_nn > 0.0 and f_s < 0.0 and det != 0.0):
+            return None
+        d_nu = (f_s * f_n - value * f_ns) / det
+        d_s = (value * f_nn - f_n * f_n) / det
+        if not (abs(d_s) <= 0.5 * s and abs(d_nu) <= width):
+            return None
+        s, nu = s + d_s, nu + d_nu
+        if abs(d_s) <= 1e-5 * max(1.0, s) and abs(d_nu) <= hn:
+            return s, nu, -f_ns / f_nn
+    return None
+
+
 def critical_flip_parameter(shape, tau: float) -> float | None:
     """Locate the CP boundary along a coupling direction, in units of a*tau.
 
@@ -328,19 +378,32 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     value b is the coupling times tau of that largest component (so shape
     (1, 1, 0) gives the a*tau ~= 0.8095 threshold).  xi depends on a and tau
     only through a*tau, so every scan is at tau = 1 and ``tau`` is only
-    validated.  b is certified by two scans: the map is CP at b and not CP
-    at b + delta, with delta = 1e-6 max(1, b).
+    validated.  b is certified to delta = 1e-6 max(1, b): the map is CP at b
+    and not CP at b + delta.
 
-    The search is a safeguarded Newton iteration on m(a*tau), the deepest
-    interior dip of min_j xi, which is positive on the CP side and negative
-    past the boundary.  It starts at c*/kappa_min (kappa_min the smallest
+    The search starts with one scan at c*/kappa_min (kappa_min the smallest
     kappa_i tau of the rescaled direction at a*tau = 1; measured boundaries
-    lie at 0.975 to 1.15 times it) and steps from the largest CP a*tau found
-    toward m = -CP_TOLERANCE, with the slope of xi at the dip's witness (a
-    central difference along the ray; by the envelope theorem that is the
-    slope of m).  A step is capped at twice the CP end while no a*tau is
-    known not CP, replaced by bisection when it leaves the [CP, not CP]
-    bracket, and by the final scan at b + delta when below delta.
+    lie at 0.975 to 1.15 times it).  Its witness (value, j, nu) is the
+    tracked dip.  Newton steps in (nu, a*tau) on that dip alone, without a
+    scan, find the a*tau s where it touches -CP_TOLERANCE (a local minimum
+    of xi_j in nu with that value).  The step goes to b = s - delta/2, or
+    stays at a scanned CP a*tau above that.  xi_j below -CP_TOLERANCE at
+    b + delta, at the dip's nu carried along the ray, shows the map not CP
+    there, which is the evidence an is_cp verdict rests on; one scan with
+    is_cp's margin proves it CP at b.  When that scan is not CP, its witness
+    is tracked next, from b.  Far rays end without a second scan when the
+    start itself is certified this way.
+
+    A tangency solve that finds the dip not convex, jumps, or does not
+    converge (see _tangency), or whose xi value does not show b + delta not
+    CP, drops the search for good to Newton steps on full scans: from the
+    largest CP a*tau found toward m = -CP_TOLERANCE, m the deepest interior
+    dip, with the slope of xi at the dip's witness (a central difference
+    along the ray; by the envelope theorem that is the slope of m).  Such a
+    step is capped at twice the CP end while no a*tau is known not CP,
+    replaced by bisection when it leaves the [CP, not CP] bracket, and by a
+    scan at b + delta when below delta.  Every path ends with a scan proving
+    CP at b and a scan or xi value showing b + delta not CP.
 
     None means one nonzero component (dephasing-type noise: no boundary, and
     no scan).  A start past the grid cap of _MAX_GRID_POINTS (kappa_min below
@@ -377,10 +440,6 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
             f"direction {shape.tolist()}: start c*/kappa_min = {b:.6g} is past the grid cap"
         )
 
-    def dip(a_tau: float) -> tuple[float, int, float]:
-        params = at(a_tau)
-        return _scan(params, scan_horizon(params), _DIP_MARGIN)
-
     def newton(a_tau: float, found: tuple[float, int, float]) -> float:
         # Where the tangent of m at a_tau reaches the verdict threshold
         # -CP_TOLERANCE; inf if it never does.
@@ -391,22 +450,40 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
         slope = float(xi(nu, at(a_tau + h))[j] - xi(nu, at(a_tau - h))[j]) / (2.0 * h)
         return a_tau - (value + CP_TOLERANCE) / slope if slope < 0.0 else math.inf
 
-    # a*tau = 0 is the identity map: CP, with no interior dip.
-    lo, lo_dip, hi, final = 0.0, (math.inf, 0, 0.0), math.inf, False
+    # lo is the largest a*tau a scan proved CP (a*tau = 0 is the identity
+    # map: CP, with no interior dip), hi the smallest shown not CP.
+    lo, lo_dip, hi, tracking = 0.0, (math.inf, 0, 0.0), math.inf, True
     while True:
-        found = dip(b)
+        params = at(b)
+        found = _scan(params, scan_horizon(params), 1.0 if tracking else _DIP_MARGIN)
         if found[0] >= -CP_TOLERANCE:
             lo, lo_dip = b, found
-        elif final:
-            return lo
         else:
             hi = b
         delta = 1e-6 * max(1.0, lo)
-        b = min(newton(lo, lo_dip), 2.0 * lo if hi == math.inf else math.inf)
-        if b >= hi:
-            b = 0.5 * (lo + hi)
-        final = b < lo + delta
-        b = max(b, lo + delta)
+        if hi <= lo + delta:
+            return lo
+        tangent = None
+        if tracking and found[2] > 0.0:
+            tangent = _tangency(at, b, found[1], found[2])
+        tracking = False
+        if tangent is not None:
+            # Step to just below the tracked dip's crossing s.  The map is not
+            # CP delta above the step when xi_j there, at the dip's nu carried
+            # along the ray, is below the verdict threshold.
+            s, nu, drift = tangent
+            b = max(lo, s - 0.5e-6 * max(1.0, s))
+            above = b + 1e-6 * max(1.0, b)
+            if above < hi and xi(nu + drift * (above - s), at(above))[found[1]] < -CP_TOLERANCE:
+                hi = above
+            tracking = b < hi <= above
+        if hi <= lo + delta:  # the step stayed at lo, which a scan proved CP
+            return lo
+        if not tracking:
+            b = min(newton(lo, lo_dip), 2.0 * lo if hi == math.inf else math.inf)
+            if b >= hi:
+                b = 0.5 * (lo + hi)
+            b = max(b, lo + delta)
 
 
 def sufficient_condition(params: ModelParams) -> bool:

@@ -222,6 +222,18 @@ class TestMarkovCompare:
         _, rows = parse_csv(out)
         assert set(np.unique(rows[:, 0])) == {0.5, 0.05}
 
+    def test_finite_rate_past_the_tau_domain(self, capsys):
+        # (4 a1 tau)^2 overflows at --tau, which the explicit ladder leaves
+        # out, but gamma = 4 a1^2 tau is finite: the table is printed
+        code, out, _ = run(
+            capsys, "markov-compare", "--a1", "1.908e47", "--tau", "2.187e134",
+            "--tau-ladder", "4.1e-15,1.9e-43",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert set(np.unique(rows[:, 0])) == {4.1e-15, 1.9e-43}
+        assert np.all(rows[:, 5] == 4.0 * 1.908e47 * 1.908e47 * 2.187e134)
+
 
     @pytest.mark.parametrize(
         "argv",

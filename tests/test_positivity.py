@@ -524,11 +524,12 @@ class TestRefinement:
         assert 1 <= len(calls) <= 5
 
     def test_boundary_search_evaluations(self, monkeypatch):
-        # every scan, round and Newton slope of the (1, 1, 0) search: 23,
-        # where 21-point rounds took 30
+        # every scan, round, tangency stencil and xi value of the (1, 1, 0)
+        # search: 8 (two grids, one round, four stencils, one xi value),
+        # where Newton steps on full scans took 23
         calls = count_evaluations(monkeypatch)
         critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
-        assert 1 <= len(calls) <= 25
+        assert 1 <= len(calls) <= 8
 
 
 class TestCriticalFlipParameter:
@@ -604,14 +605,19 @@ class TestCriticalFlipParameter:
             critical_flip_parameter((1.0, 1.0, 0.0), tau=tau)
 
     def test_equal_coupling_boundary_respects_sufficient_bound(self):
-        # sufficiency says the boundary cannot sit below the frequency bound
+        # for three equal couplings xi_4 = (1 + 3 Lambda)/4, whose first
+        # trough -exp(-pi/mu) reaches -1/3 at mu = pi/ln 3: the boundary is
+        # exactly b = sqrt(1 + (pi/ln 3)^2)/(4 sqrt 2) = 0.535528860121, and
+        # the search returns it from below, within its delta
+        exact = math.sqrt(1.0 + MU_STAR_BOUND**2) / (4.0 * math.sqrt(2.0))
+        assert exact == pytest.approx(0.535528860121, abs=1e-12)
         boundary = critical_flip_parameter((1.0, 1.0, 1.0), tau=1.0)
+        assert exact - 1e-6 <= boundary <= exact + 1e-9
+        # so max mu sits at the frequency bound, within dmu/db ~= 6 times
+        # that window
         p = ModelParams(a=(boundary, boundary, boundary), tau=1.0)
         mu_max = math.sqrt(float(np.max(p.mu_squared)))
-        assert mu_max >= MU_STAR_BOUND - 0.01
-        # for three equal frequencies the bound is tight, so the boundary
-        # lands where max mu equals pi/ln 3
-        assert boundary == pytest.approx(math.sqrt((MU_STAR_BOUND**2 + 1.0) / 32.0), abs=1e-6)
+        assert MU_STAR_BOUND - 7e-6 <= mu_max <= MU_STAR_BOUND + 1e-8
 
     def test_boundary_certified_to_delta(self):
         # CP at b (and at b - delta), not CP at b + delta, delta = 1e-6 max(1, b)
@@ -632,11 +638,20 @@ class TestCriticalFlipParameter:
 
     @pytest.mark.parametrize(
         "shape, most",
-        [((1.0, 1.0, 0.0), 8), ((1.0, 0.0, 0.0), 0), ((0.0, 0.0, 1.0), 0), ((1.0, 1e-3, 0.0), 8)],
+        [
+            ((1.0, 1.0, 0.0), 2),
+            ((1.0, 0.0, 0.0), 0),
+            ((0.0, 0.0, 1.0), 0),
+            ((1.0, 1e-3, 0.0), 1),
+            ((1.0, 1e-5, 0.0), 1),
+        ],
     )
     def test_scan_count(self, monkeypatch, shape, most):
-        # a fall-back to bisection (15 scans) would exceed the two-axis
-        # count; a one-axis direction has no boundary and needs no scan
+        # one scan finds the dip, one certifies the tangency step; on far
+        # rays, where one scan costs up to about 0.25 s, the start is
+        # already certified and the first scan does both.  A fall-back to
+        # the bracketed steps (5 scans) exceeds this, and a one-axis
+        # direction has no boundary and needs no scan
         calls = []
 
         def counting_scan(*args):
@@ -647,6 +662,46 @@ class TestCriticalFlipParameter:
         monkeypatch.setattr(positivity, "_scan", counting_scan)
         critical_flip_parameter(shape, tau=1.0)
         assert len(calls) <= most
+
+    @pytest.mark.parametrize("shape", [(1.0, 1.0, 0.0), (1.0, 0.54, 0.0)])
+    @pytest.mark.parametrize("sabotage", [None, "fail", "low"])
+    def test_safeguards_keep_the_certificate(self, monkeypatch, shape, sabotage):
+        # on (1, 0.54, 0) the first scan's witness is not the deepest dip at
+        # the tangency step, so the certifying scan is not CP and its
+        # witness is tracked next.  A first tangency solve that fails, or
+        # that puts the crossing 10 % low, where xi at b + delta is still
+        # positive, drops the search to the bracketed scan steps for good.
+        verdicts, steps = [], []
+
+        def recording_scan(params, horizon, margin):
+            found = scan(params, horizon, margin)
+            verdicts.append(found[0] >= -CP_TOLERANCE)
+            return found
+
+        def sabotaged_tangency(*args):
+            steps.append(args)
+            found = tangency(*args)
+            if sabotage is None or len(steps) > 1:
+                return found
+            return None if sabotage == "fail" else (0.9 * found[0],) + found[1:]
+
+        scan, tangency = positivity._scan, positivity._tangency
+        monkeypatch.setattr(positivity, "_scan", recording_scan)
+        monkeypatch.setattr(positivity, "_tangency", sabotaged_tangency)
+        b = critical_flip_parameter(shape, tau=1.0)
+        if sabotage:
+            # the bracketed steps refine positive dips to the tight margin:
+            # 5 and 6 scans here, 10 and 12 with is_cp's margin
+            assert len(steps) == 1 and 2 < len(verdicts) <= 6
+        else:
+            assert verdicts == ([True, False, True] if shape[1] == 0.54 else [True, True])
+        delta = 1e-6 * max(1.0, b)
+        unit = np.asarray(shape) / max(shape)
+
+        def cp_at(a_tau):
+            return is_cp(ModelParams(a=tuple(unit * a_tau), tau=1.0)).is_cp
+
+        assert cp_at(b) and cp_at(b - delta) and not cp_at(b + delta), (shape, b)
 
     def test_axis_permutations_agree(self):
         # relabelling the axes permutes the xi_j among themselves, so every
@@ -672,6 +727,27 @@ class TestCriticalFlipParameter:
     def test_returns_builtin_float(self):
         assert type(critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)) is float
         assert type(critical_flip_parameter((1.0, 0.04, 0.0), tau=1.0)) is float
+
+
+class TestTangency:
+    @staticmethod
+    def equal(a_tau):
+        return ModelParams(a=(a_tau, a_tau, a_tau), tau=1.0)
+
+    @pytest.mark.parametrize("start", [(0.5, 1.1), (0.55, 1.0)])
+    def test_equal_couplings_cross_at_the_closed_form(self, start):
+        # xi_4 = (1 + 3 Lambda)/4 has its first trough at mu nu = pi and
+        # reaches -CP_TOLERANCE there just past the exact boundary
+        exact = math.sqrt(1.0 + MU_STAR_BOUND**2) / (4.0 * math.sqrt(2.0))
+        s0, nu0 = start
+        s, nu, _ = positivity._tangency(self.equal, s0, 3, nu0)
+        assert exact < s <= exact + 1e-9
+        assert nu == pytest.approx(math.pi / math.sqrt(32.0 * s * s - 1.0), abs=1e-6)
+
+    def test_crest_is_not_a_dip(self):
+        # at the first crest of Lambda (mu nu = 2 pi) xi_4 is concave
+        mu = math.sqrt(32.0 * 0.25 - 1.0)
+        assert positivity._tangency(self.equal, 0.5, 3, 2.0 * math.pi / mu) is None
 
 
 class TestVeryLargeCoupling:
