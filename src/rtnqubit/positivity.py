@@ -36,9 +36,8 @@ there finds a dip; Newton steps on that one dip, each reading xi_j on a
 for the a tau where it touches the verdict threshold.  The result b, just
 below that, is certified to delta = 1e-6 max(1, b): one scan proves the map
 CP at b, and a closed-form xi_j value below -CP_TOLERANCE at the dip proves
-it not CP at b + delta.  A certifying scan that is not CP hands its witness
-to the next Newton solve; a solve that leaves its safeguards drops to
-Newton steps on full scans, safeguarded by bisection.
+it not CP at b + delta.  Every scan's witness gets its own solve; where a
+solve fails, the next scan bisects the bracket of scanned a*tau instead.
 
 Empirically the (a, a, 0) family loses complete positivity at
 a * tau ~= 0.8; a simple sufficient condition is that the largest real
@@ -92,15 +91,11 @@ _REFINE_BATCH = 4096
 _EPS = float(np.finfo(float).eps)
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
 _CRITICAL_CROSSING = 2.289281414562872
-# Once the boundary search falls back to Newton steps on full scans, each
-# scan refines a positive dip until the dip bound proves it positive to this
-# relative margin, so that the steps see the dip's value, not the grid's.
-_DIP_MARGIN = 1e-6
 # Root c* of min over nu > 0 of [1 + Lambda(nu; c) - 2 exp(-nu)] = 0, touched
 # at nu ~= 0.91558: the boundary search starts at c*/kappa_min.
 _C_STAR = 0.7058598262632272
-# Most stencil steps the tangency Newton takes before the boundary search
-# falls back to its bracketed scan steps.
+# Most stencil steps a tangency solve takes before the boundary search
+# bisects instead.
 _TANGENCY_STEPS = 8
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
@@ -202,12 +197,18 @@ def _dense_points(params: ModelParams, horizon: float) -> tuple[float, float]:
     # profiles are smooth, so a sparse tail suffices.  Returns that
     # stretch's end and its uncapped point count; (horizon, 0) when no
     # profile is underdamped.
-    real = [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
+    real = _ringing(params)
     if not real:
         return horizon, 0.0
     envelope = max(math.sqrt(1.0 + 1.0 / musq) for musq in real)
     osc_end = min(horizon, math.log(envelope * 1e12) + 1.0)
     return osc_end, _POINTS_PER_PERIOD * osc_end * math.sqrt(max(real)) / (2.0 * math.pi)
+
+
+def _ringing(params: ModelParams) -> list[float]:
+    # mu_i^2 of the underdamped components, the only ones with a real
+    # frequency mu_i.
+    return [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
 
 
 def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
@@ -220,7 +221,7 @@ def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
     return np.concatenate([dense, tail])
 
 
-def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, int, float]:
+def _scan(params: ModelParams, horizon: float) -> tuple[float, int, float]:
     """The deepest dip of min_j xi on (0, horizon]: (value, j, nu).
 
     The running minimum starts at the lowest grid value if that is
@@ -228,12 +229,9 @@ def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, in
     interior grid minimum (+inf when there is none), not at the nu = 0 end,
     where xi_1..3 vanish exactly.  A bracket is rescanned while its hidden
     dip is above machine epsilon, could lower the running minimum and
-    exceeds ``margin`` times the bracket's lowest value.
-    A negative bracket is therefore refined as far as the running minimum
-    needs, and a positive one until the dip bound proves it positive to
-    the relative ``margin``: :func:`is_cp` passes 1, which proves
-    positivity and no more, the boundary search a tight margin, which
-    makes the value accurate enough for its Newton steps.
+    exceeds the bracket's lowest value.  A negative bracket is therefore
+    refined as far as the running minimum needs, and a positive one until
+    the dip bound proves it positive, and no further.
     """
     plan = telegraph._profile_plan(params._components)
     nus = _scan_grid(params, horizon)
@@ -253,15 +251,15 @@ def _scan(params: ModelParams, horizon: float, margin: float) -> tuple[float, in
             worst = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
 
     # Rescan a bracket while its hidden dip could lower the running minimum.
-    keep = (vals - gap < worst[0]) & (gap > margin * vals) & (gap > _EPS)
+    keep = (vals - gap < worst[0]) & (gap > vals) & (gap > _EPS)
     rows, cols = rows[keep], cols[keep]
     for start in range(0, rows.size, _REFINE_BATCH):
         r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
-        worst = _refine(plan, dip, margin, worst, r, nus[c], nus[c + 2])
+        worst = _refine(plan, dip, worst, r, nus[c], nus[c + 2])
     return worst
 
 
-def _refine(plan: tuple, dip: float, margin: float, worst: tuple, r, lo, hi) -> tuple:
+def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
     # Rescan each bracket [lo, hi] of xi row r, then the two cells around
     # its lowest point, while its hidden dip could lower the running minimum
     # worst = (value, j, nu); returns the final worst.
@@ -278,7 +276,7 @@ def _refine(plan: tuple, dip: float, margin: float, worst: tuple, r, lo, hi) -> 
             worst_val = float(low[b])
             worst = worst_val, int(r[b]), float(pts[b, m[b]])
         hidden = dip * step**2  # each bracket's cell is its step
-        keep = ((low - hidden < worst_val) & (hidden > margin * low) & (hidden > _EPS)).nonzero()[0]
+        keep = ((low - hidden < worst_val) & (hidden > low) & (hidden > _EPS)).nonzero()[0]
         m = np.minimum(np.maximum(m[keep], 1), n - 2)
         r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
     return worst
@@ -320,7 +318,7 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     horizon = float(nu_max) if nu_max is not None else scan_horizon(params)
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"scan horizon must be finite and > 0, got {horizon}")
-    value, j, nu = _scan(params, horizon, 1.0)
+    value, j, nu = _scan(params, horizon)
     if value < -CP_TOLERANCE:
         return CpVerdict(
             is_cp=False,
@@ -346,7 +344,7 @@ def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | N
     """
     for _ in range(_TANGENCY_STEPS):
         center = at(s)
-        real = [musq for _, musq, branch in center._components if branch is Regime.UNDERDAMPED]
+        real = _ringing(center)
         width = min(nu, 1.0 / math.sqrt(max(real))) if real else nu
         hn, ha = 1e-3 * width, 1e-5 * s * (width / nu)
         rows = at(s - ha)._components + center._components + at(s + ha)._components
@@ -383,27 +381,18 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
 
     The search starts with one scan at c*/kappa_min (kappa_min the smallest
     kappa_i tau of the rescaled direction at a*tau = 1; measured boundaries
-    lie at 0.975 to 1.15 times it).  Its witness (value, j, nu) is the
-    tracked dip.  Newton steps in (nu, a*tau) on that dip alone, without a
-    scan, find the a*tau s where it touches -CP_TOLERANCE (a local minimum
-    of xi_j in nu with that value).  The step goes to b = s - delta/2, or
-    stays at a scanned CP a*tau above that.  xi_j below -CP_TOLERANCE at
-    b + delta, at the dip's nu carried along the ray, shows the map not CP
-    there, which is the evidence an is_cp verdict rests on; one scan with
-    is_cp's margin proves it CP at b.  When that scan is not CP, its witness
-    is tracked next, from b.  Far rays end without a second scan when the
-    start itself is certified this way.
-
-    A tangency solve that finds the dip not convex, jumps, or does not
-    converge (see _tangency), or whose xi value does not show b + delta not
-    CP, drops the search for good to Newton steps on full scans: from the
-    largest CP a*tau found toward m = -CP_TOLERANCE, m the deepest interior
-    dip, with the slope of xi at the dip's witness (a central difference
-    along the ray; by the envelope theorem that is the slope of m).  Such a
-    step is capped at twice the CP end while no a*tau is known not CP,
-    replaced by bisection when it leaves the [CP, not CP] bracket, and by a
-    scan at b + delta when below delta.  Every path ends with a scan proving
-    CP at b and a scan or xi value showing b + delta not CP.
+    lie at 0.975 to 1.15 times it).  Each scan raises lo, the largest a*tau
+    proved CP, or lowers hi, the smallest shown not CP.  Newton steps in
+    (nu, a*tau) on its witness's dip alone, without a scan, find the a*tau s
+    where that dip touches -CP_TOLERANCE (a local minimum of xi_j in nu with
+    that value); the step goes to b = s - delta/2, or stays at lo above it.
+    xi_j below -CP_TOLERANCE at b + delta, at the dip's nu carried along the
+    ray, shows the map not CP there, the evidence an is_cp verdict rests on,
+    and the next scan is at b: CP there ends the search, and otherwise hi
+    drops to b.  A solve that fails (see _tangency) or whose xi value shows
+    nothing leaves the next scan to bisection, at (lo + hi)/2, or at 2 lo
+    while hi is unknown.  The search returns lo once hi <= lo + delta, which
+    the start alone reaches on far rays; measured searches take 1 to 3 scans.
 
     None means one nonzero component (dephasing-type noise: no boundary, and
     no scan).  A start past the grid cap of _MAX_GRID_POINTS (kappa_min below
@@ -440,50 +429,34 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
             f"direction {shape.tolist()}: start c*/kappa_min = {b:.6g} is past the grid cap"
         )
 
-    def newton(a_tau: float, found: tuple[float, int, float]) -> float:
-        # Where the tangent of m at a_tau reaches the verdict threshold
-        # -CP_TOLERANCE; inf if it never does.
-        value, j, nu = found
-        if value == math.inf:
-            return math.inf
-        h = 1e-5 * a_tau
-        slope = float(xi(nu, at(a_tau + h))[j] - xi(nu, at(a_tau - h))[j]) / (2.0 * h)
-        return a_tau - (value + CP_TOLERANCE) / slope if slope < 0.0 else math.inf
-
     # lo is the largest a*tau a scan proved CP (a*tau = 0 is the identity
     # map: CP, with no interior dip), hi the smallest shown not CP.
-    lo, lo_dip, hi, tracking = 0.0, (math.inf, 0, 0.0), math.inf, True
+    lo, hi = 0.0, math.inf
     while True:
         params = at(b)
-        found = _scan(params, scan_horizon(params), 1.0 if tracking else _DIP_MARGIN)
-        if found[0] >= -CP_TOLERANCE:
-            lo, lo_dip = b, found
+        value, j, nu = _scan(params, scan_horizon(params))
+        if value >= -CP_TOLERANCE:
+            lo = b
         else:
             hi = b
         delta = 1e-6 * max(1.0, lo)
         if hi <= lo + delta:
             return lo
-        tangent = None
-        if tracking and found[2] > 0.0:
-            tangent = _tangency(at, b, found[1], found[2])
-        tracking = False
+        tangent = _tangency(at, b, j, nu) if nu > 0.0 else None
         if tangent is not None:
-            # Step to just below the tracked dip's crossing s.  The map is not
-            # CP delta above the step when xi_j there, at the dip's nu carried
-            # along the ray, is below the verdict threshold.
+            # Step to just below the crossing s; certify not CP delta above.
             s, nu, drift = tangent
-            b = max(lo, s - 0.5e-6 * max(1.0, s))
-            above = b + 1e-6 * max(1.0, b)
-            if above < hi and xi(nu + drift * (above - s), at(above))[found[1]] < -CP_TOLERANCE:
+            step = max(lo, s - 0.5e-6 * max(1.0, s))
+            above = step + 1e-6 * max(1.0, step)
+            if above < hi and xi(nu + drift * (above - s), at(above))[j] < -CP_TOLERANCE:
                 hi = above
-            tracking = b < hi <= above
-        if hi <= lo + delta:  # the step stayed at lo, which a scan proved CP
-            return lo
-        if not tracking:
-            b = min(newton(lo, lo_dip), 2.0 * lo if hi == math.inf else math.inf)
-            if b >= hi:
-                b = 0.5 * (lo + hi)
-            b = max(b, lo + delta)
+            if hi <= lo + delta:  # the step stayed at lo, which a scan proved CP
+                return lo
+            if step < hi <= above:
+                b = step
+                continue
+        # No certified step: bisect, or double while no a*tau is known not CP.
+        b = max(0.5 * (lo + hi) if hi < math.inf else 2.0 * lo, lo + delta)
 
 
 def sufficient_condition(params: ModelParams) -> bool:
@@ -493,7 +466,7 @@ def sufficient_condition(params: ModelParams) -> bool:
     the condition trivially.  This is one-sided: a False return does not by
     itself prove loss of complete positivity.
     """
-    real = [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
+    real = _ringing(params)
     return not real or math.sqrt(max(real)) <= MU_STAR_BOUND
 
 

@@ -72,7 +72,20 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def reference_refine(params, dip, margin, worst, r, lo, hi):
+def count_scans(monkeypatch):
+    """Record the arguments of every full CP scan."""
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    scan = positivity._scan
+    monkeypatch.setattr(positivity, "_scan", counting_scan)
+    return calls
+
+
+def reference_refine(params, dip, worst, r, lo, hi):
     """The 21-point np.linspace refinement of xi rows, frozen as reference."""
     worst_val, worst_j, worst_nu = worst
     while r.size:
@@ -84,15 +97,13 @@ def reference_refine(params, dip, margin, worst, r, lo, hi):
         if low[b] < worst_val:
             worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
         hidden = dip * ((hi - lo) / 20) ** 2
-        keep = np.nonzero(
-            (low - hidden < worst_val) & (hidden > margin * low) & (hidden > positivity._EPS)
-        )[0]
+        keep = np.nonzero((low - hidden < worst_val) & (hidden > low) & (hidden > positivity._EPS))[0]
         m = np.clip(m[keep], 1, 19)
         r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
     return worst_val, worst_j, worst_nu
 
 
-def reference_scan(params, horizon, margin):
+def reference_scan(params, horizon):
     """positivity._scan with the frozen refinement, 4096 brackets a batch."""
     nus = positivity._scan_grid(params, horizon)
     table = xi(nus, params)
@@ -109,11 +120,11 @@ def reference_scan(params, horizon, margin):
         if vals.size:
             b = int(np.argmin(vals))
             worst = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
-    keep = (vals - gap < worst[0]) & (gap > margin * vals) & (gap > positivity._EPS)
+    keep = (vals - gap < worst[0]) & (gap > vals) & (gap > positivity._EPS)
     rows, cols = rows[keep], cols[keep]
     for start in range(0, rows.size, 4096):
         r, c = rows[start : start + 4096], cols[start : start + 4096]
-        worst = reference_refine(params, dip, margin, worst, r, nus[c], nus[c + 2])
+        worst = reference_refine(params, dip, worst, r, nus[c], nus[c + 2])
     return worst
 
 
@@ -470,8 +481,8 @@ class TestRefinement:
     def test_same_verdicts_and_witnesses_as_reference(self):
         non_cp = 0
         for params, horizon in reference_cases():
-            value, j, nu = positivity._scan(params, horizon, 1.0)
-            ref_value, ref_j, _ = reference_scan(params, horizon, 1.0)
+            value, j, nu = positivity._scan(params, horizon)
+            ref_value, ref_j, _ = reference_scan(params, horizon)
             assert (value < -CP_TOLERANCE) == (ref_value < -CP_TOLERANCE), (params, horizon)
             if ref_value < -CP_TOLERANCE:
                 non_cp += 1
@@ -485,8 +496,8 @@ class TestRefinement:
             dip = float(np.sum(params.kappa_taus**2))
             start = (math.inf, 0, 0.0)
             plan = telegraph._profile_plan(params._components)
-            value, j, nu = positivity._refine(plan, dip, 1.0, start, r, lo, hi)
-            ref_value, ref_j, ref_nu = reference_refine(params, dip, 1.0, start, r, lo, hi)
+            value, j, nu = positivity._refine(plan, dip, start, r, lo, hi)
+            ref_value, ref_j, ref_nu = reference_refine(params, dip, start, r, lo, hi)
             assert j == ref_j and abs(value - ref_value) <= 1e-12, (params, r, lo, hi)
 
     def test_lean_rounds_bit_exact_at_21_points(self, monkeypatch):
@@ -494,17 +505,16 @@ class TestRefinement:
         # reference's arithmetic, bit for bit
         monkeypatch.setattr(positivity, "_REFINE_POINTS_FEW", positivity._REFINE_POINTS)
         for params, horizon in reference_cases():
-            for margin in (1.0, positivity._DIP_MARGIN):
-                got = positivity._scan(params, horizon, margin)
-                assert got == reference_scan(params, horizon, margin), (params, horizon, margin)
+            got = positivity._scan(params, horizon)
+            assert got == reference_scan(params, horizon), (params, horizon)
         for params, r, lo, hi in edge_brackets():
             start = (math.inf, 0, 0.0)
             plan = telegraph._profile_plan(params._components)
             # dip 0 stops after the first round, whose lowest point is then
             # the witness
             for dip in (float(np.sum(params.kappa_taus**2)), 0.0):
-                got = positivity._refine(plan, dip, 1.0, start, r, lo, hi)
-                assert got == reference_refine(params, dip, 1.0, start, r, lo, hi)
+                got = positivity._refine(plan, dip, start, r, lo, hi)
+                assert got == reference_refine(params, dip, start, r, lo, hi)
 
     @pytest.mark.parametrize("n", [2, 21, 40, 201])
     def test_rescan_points_are_linspace(self, n):
@@ -525,8 +535,7 @@ class TestRefinement:
 
     def test_boundary_search_evaluations(self, monkeypatch):
         # every scan, round, tangency stencil and xi value of the (1, 1, 0)
-        # search: 8 (two grids, one round, four stencils, one xi value),
-        # where Newton steps on full scans took 23
+        # search: 8 (two grids, one round, four stencils, one xi value)
         calls = count_evaluations(monkeypatch)
         critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
         assert 1 <= len(calls) <= 8
@@ -552,9 +561,9 @@ class TestCriticalFlipParameter:
         # the search starts where the smallest kappa_i tau equals c*
         scanned = []
 
-        def recording_scan(params, horizon, margin):
+        def recording_scan(params, horizon):
             scanned.append(params)
-            return scan(params, horizon, margin)
+            return scan(params, horizon)
 
         scan = positivity._scan
         monkeypatch.setattr(positivity, "_scan", recording_scan)
@@ -649,50 +658,65 @@ class TestCriticalFlipParameter:
     def test_scan_count(self, monkeypatch, shape, most):
         # one scan finds the dip, one certifies the tangency step; on far
         # rays, where one scan costs up to about 0.25 s, the start is
-        # already certified and the first scan does both.  A fall-back to
-        # the bracketed steps (5 scans) exceeds this, and a one-axis
+        # already certified and the first scan does both.  A one-axis
         # direction has no boundary and needs no scan
-        calls = []
-
-        def counting_scan(*args):
-            calls.append(args)
-            return scan(*args)
-
-        scan = positivity._scan
-        monkeypatch.setattr(positivity, "_scan", counting_scan)
+        calls = count_scans(monkeypatch)
         critical_flip_parameter(shape, tau=1.0)
         assert len(calls) <= most
 
+    def test_scan_count_over_a_sweep(self, monkeypatch):
+        # cp_map-like directions and directions with a weak axis down to
+        # 1e-3: at most 3 scans a ray, the most measured, so that bisection
+        # (about 21 scans when every tangency solve fails) stays a safeguard
+        rng = np.random.default_rng(2023)
+        shapes = []
+        for k in range(200):
+            shape = np.concatenate([[1.0], rng.uniform(0.3, 1.0, 2)])
+            if k % 2:
+                shape[2] = 0.0
+            if k % 4 == 3:
+                shape[1] = 10.0 ** rng.uniform(-3.0, -1.0)
+            shapes.append(shape[rng.permutation(3)])
+        calls = count_scans(monkeypatch)
+        for shape in shapes:
+            calls.clear()
+            critical_flip_parameter(shape, tau=1.0)
+            assert 1 <= len(calls) <= 3, (shape, len(calls))
+
     @pytest.mark.parametrize("shape", [(1.0, 1.0, 0.0), (1.0, 0.54, 0.0)])
-    @pytest.mark.parametrize("sabotage", [None, "fail", "low"])
+    @pytest.mark.parametrize("sabotage", [None, "fail", "low", "always"])
     def test_safeguards_keep_the_certificate(self, monkeypatch, shape, sabotage):
         # on (1, 0.54, 0) the first scan's witness is not the deepest dip at
         # the tangency step, so the certifying scan is not CP and its
         # witness is tracked next.  A first tangency solve that fails, or
         # that puts the crossing 10 % low, where xi at b + delta is still
-        # positive, drops the search to the bracketed scan steps for good.
+        # positive, leaves the next scan to bisection, and later solves
+        # finish (5 scans).  With every solve failing, bisection alone
+        # brackets b to delta (21 to 22 scans).
         verdicts, steps = [], []
 
-        def recording_scan(params, horizon, margin):
-            found = scan(params, horizon, margin)
+        def recording_scan(params, horizon):
+            found = scan(params, horizon)
             verdicts.append(found[0] >= -CP_TOLERANCE)
             return found
 
         def sabotaged_tangency(*args):
             steps.append(args)
+            if sabotage == "always" or (sabotage == "fail" and len(steps) == 1):
+                return None
             found = tangency(*args)
-            if sabotage is None or len(steps) > 1:
-                return found
-            return None if sabotage == "fail" else (0.9 * found[0],) + found[1:]
+            if sabotage == "low" and len(steps) == 1:
+                return (0.9 * found[0],) + found[1:]
+            return found
 
         scan, tangency = positivity._scan, positivity._tangency
         monkeypatch.setattr(positivity, "_scan", recording_scan)
         monkeypatch.setattr(positivity, "_tangency", sabotaged_tangency)
         b = critical_flip_parameter(shape, tau=1.0)
-        if sabotage:
-            # the bracketed steps refine positive dips to the tight margin:
-            # 5 and 6 scans here, 10 and 12 with is_cp's margin
-            assert len(steps) == 1 and 2 < len(verdicts) <= 6
+        if sabotage == "always":
+            assert len(verdicts) <= 24
+        elif sabotage:
+            assert len(steps) > 1 and 2 < len(verdicts) <= 6
         else:
             assert verdicts == ([True, False, True] if shape[1] == 0.54 else [True, True])
         delta = 1e-6 * max(1.0, b)
@@ -702,6 +726,11 @@ class TestCriticalFlipParameter:
             return is_cp(ModelParams(a=tuple(unit * a_tau), tau=1.0)).is_cp
 
         assert cp_at(b) and cp_at(b - delta) and not cp_at(b + delta), (shape, b)
+
+    @pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 0.04, 0.0)])
+    def test_bisection_alone_keeps_the_certificate(self, monkeypatch, shape):
+        # every solve fails on two more shapes: 21 and 22 scans
+        self.test_safeguards_keep_the_certificate(monkeypatch, shape, "always")
 
     def test_axis_permutations_agree(self):
         # relabelling the axes permutes the xi_j among themselves, so every
