@@ -81,8 +81,9 @@ class SampledKernel:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # copies: freezing must not reach the caller's arrays
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("need matching 1-d arrays with at least two samples")
         if np.any(np.diff(times) <= 0.0):
@@ -119,7 +120,10 @@ class ScalarEvolution:
 
     def nu_grid(self, tau: float) -> np.ndarray:
         """The grid in dimensionless units nu = t / (2 tau)."""
-        return self.grid / (2.0 * float(tau))
+        tau = float(tau)
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
+        return self.grid / (2.0 * tau)
 
 
 def exponential_kernel_poles(eigenvalue: float, tau: float) -> tuple[complex, complex]:

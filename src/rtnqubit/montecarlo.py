@@ -75,7 +75,7 @@ class TelegraphPath:
             raise ValueError("tau and t_max must be finite and > 0")
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-        flips = np.asarray(self.flip_times, dtype=float)
+        flips = np.array(self.flip_times, dtype=float)  # a copy, frozen below
         if flips.ndim != 1 or not np.all(np.diff(flips) > 0.0):
             raise ValueError("flip times must be a strictly increasing 1-d array")
         if flips.size and not (flips[0] >= 0.0 and flips[-1] <= self.t_max):

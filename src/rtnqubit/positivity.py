@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, telegraph
-from .telegraph import ModelParams, Regime
+from .telegraph import ModelParams
 
 __all__ = [
     "CP_TOLERANCE",
@@ -89,8 +89,6 @@ _REFINE_POINTS = 21
 _REFINE_POINTS_FEW = 201
 _REFINE_BATCH = 4096
 _EPS = float(np.finfo(float).eps)
-# Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
-_CRITICAL_CROSSING = 2.289281414562872
 # Root c* of min over nu > 0 of [1 + Lambda(nu; c) - 2 exp(-nu)] = 0, touched
 # at nu ~= 0.91558: the boundary search starts at c*/kappa_min.
 _C_STAR = 0.7058598262632272
@@ -164,55 +162,39 @@ class CpVerdict:
 def scan_horizon(params: ModelParams) -> float:
     """Time beyond which all xi_j are provably positive.
 
-    By its regime (the branch of the closed form that evaluates it, see
-    :func:`rtnqubit.telegraph.classify_regime`), each profile obeys
-    |Lambda_i(nu)| <= E_i(nu) with
-
-        underdamped:  E = exp(-nu) sqrt(1 + 1/mu^2)
-        critical:     E = exp(-nu) (1 + nu)
-        overdamped:   E = (1 + 1/mt)/2 exp(-(1 - mt) nu),
-
-    except a profile evaluated as identically 1 (kappa_i tau = 0, or mu_i^2
-    rounding to -1), whose two partner profiles cancel in the dangerous
-    combinations.  Once every decaying envelope is below 1/3, all xi_j > 0;
-    the returned horizon is that crossing time plus a unit margin.
+    Past the crossing of the envelope bounds :mod:`rtnqubit.telegraph`
+    derives per branch, every decaying |Lambda_i| is below 1/3 (a critical
+    one with mu_i^2 < 0 from 1e-5 past it), so all xi_j > 0; a profile
+    evaluated as identically 1 has no envelope, but its two partner profiles
+    cancel in the dangerous combinations.  The horizon is that crossing plus
+    a unit margin.
     """
-    horizon = 0.0
-    for _, musq, branch in params._components:
-        if branch is Regime.CRITICAL:
-            horizon = max(horizon, _CRITICAL_CROSSING)
-        elif branch is Regime.UNDERDAMPED:
-            horizon = max(horizon, math.log(3.0 * math.sqrt(1.0 + 1.0 / musq)))
-        elif branch is Regime.OVERDAMPED:
-            mt = math.sqrt(-musq)
-            horizon = max(horizon, math.log(3.0 * (1.0 + 1.0 / mt) / 2.0) / (1.0 - mt))
-    return horizon + 1.0
+    return _bounds(params)[2]
 
 
-def _dense_points(params: ModelParams, horizon: float) -> tuple[float, float]:
-    # Underdamped profiles need a grid that resolves their period, but only
-    # while their envelope exp(-nu) sqrt(1 + 1/mu^2) is large enough to dig
-    # a xi minimum below anything resolvable: past
-    # nu = log(envelope * 1e12) they sit under 1e-12 and the remaining
-    # profiles are smooth, so a sparse tail suffices.  Returns that
-    # stretch's end and its uncapped point count; (horizon, 0) when no
-    # profile is underdamped.
-    real = _ringing(params)
-    if not real:
-        return horizon, 0.0
-    envelope = max(math.sqrt(1.0 + 1.0 / musq) for musq in real)
-    osc_end = min(horizon, math.log(envelope * 1e12) + 1.0)
-    return osc_end, _POINTS_PER_PERIOD * osc_end * math.sqrt(max(real)) / (2.0 * math.pi)
+def _bounds(params: ModelParams, nu_max: float | None = None) -> tuple:
+    # (plan, mu_max, horizon, osc_end, needed) of a scan of params, read off
+    # telegraph._envelope: the profile plan, the largest real frequency, the
+    # horizon (nu_max, or scan_horizon's), and the end of the stretch whose
+    # grid resolves the fastest period with its uncapped point count.
+    # Underdamped profiles need that stretch only while their envelope
+    # exp(-nu) amplitude is large enough to dig a xi minimum below anything
+    # resolvable: past nu = log(amplitude * 1e12) they sit under 1e-12 and
+    # the remaining profiles are smooth, so a sparse tail suffices.  With no
+    # underdamped profile the stretch is (horizon, 0).
+    plan = telegraph._profile_plan(params._components)
+    crossing, mu_max, amplitude = telegraph._envelope(plan)
+    horizon = crossing + 1.0 if nu_max is None else float(nu_max)
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"scan horizon must be finite and > 0, got {horizon}")
+    osc_end, needed = horizon, 0.0
+    if mu_max:
+        osc_end = min(horizon, math.log(amplitude * 1e12) + 1.0)
+        needed = _POINTS_PER_PERIOD * osc_end * mu_max / (2.0 * math.pi)
+    return plan, mu_max, horizon, osc_end, needed
 
 
-def _ringing(params: ModelParams) -> list[float]:
-    # mu_i^2 of the underdamped components, the only ones with a real
-    # frequency mu_i.
-    return [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
-
-
-def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
-    osc_end, needed = _dense_points(params, horizon)
+def _scan_grid(horizon: float, osc_end: float, needed: float) -> np.ndarray:
     n_dense = min(max(_BASE_GRID_POINTS, math.ceil(needed)), _MAX_GRID_POINTS)
     dense = np.linspace(0.0, osc_end, n_dense)
     if osc_end >= horizon:
@@ -221,9 +203,10 @@ def _scan_grid(params: ModelParams, horizon: float) -> np.ndarray:
     return np.concatenate([dense, tail])
 
 
-def _scan(params: ModelParams, horizon: float) -> tuple[float, int, float]:
-    """The deepest dip of min_j xi on (0, horizon]: (value, j, nu).
+def _scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float, float]:
+    """The deepest dip of min_j xi on (0, horizon]: (value, j, nu, horizon).
 
+    The horizon is nu_max, or :func:`scan_horizon`'s when nu_max is None.
     The running minimum starts at the lowest grid value if that is
     negative, the nu = horizon end included; otherwise at the lowest
     interior grid minimum (+inf when there is none), not at the nu = 0 end,
@@ -233,8 +216,8 @@ def _scan(params: ModelParams, horizon: float) -> tuple[float, int, float]:
     refined as far as the running minimum needs, and a positive one until
     the dip bound proves it positive, and no further.
     """
-    plan = telegraph._profile_plan(params._components)
-    nus = _scan_grid(params, horizon)
+    plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
+    nus = _scan_grid(horizon, osc_end, needed)
     table = _combine(telegraph._profiles(nus, plan))
     dip = float(np.sum(params.kappa_taus**2))
     cells = np.diff(nus)
@@ -256,7 +239,7 @@ def _scan(params: ModelParams, horizon: float) -> tuple[float, int, float]:
     for start in range(0, rows.size, _REFINE_BATCH):
         r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
         worst = _refine(plan, dip, worst, r, nus[c], nus[c + 2])
-    return worst
+    return (*worst, horizon)
 
 
 def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
@@ -315,17 +298,9 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     The default horizon comes from :func:`scan_horizon` and certifies the
     infinite-time statement; passing ``nu_max`` restricts the scan.
     """
-    horizon = float(nu_max) if nu_max is not None else scan_horizon(params)
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"scan horizon must be finite and > 0, got {horizon}")
-    value, j, nu = _scan(params, horizon)
-    if value < -CP_TOLERANCE:
-        return CpVerdict(
-            is_cp=False,
-            witness=CpWitness(nu=nu, index=j + 1, value=value),
-            horizon=horizon,
-        )
-    return CpVerdict(is_cp=True, witness=None, horizon=horizon)
+    value, j, nu, horizon = _scan(params, nu_max)
+    witness = CpWitness(nu=nu, index=j + 1, value=value) if value < -CP_TOLERANCE else None
+    return CpVerdict(is_cp=witness is None, witness=witness, horizon=horizon)
 
 
 def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | None:
@@ -344,8 +319,8 @@ def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | N
     """
     for _ in range(_TANGENCY_STEPS):
         center = at(s)
-        real = _ringing(center)
-        width = min(nu, 1.0 / math.sqrt(max(real))) if real else nu
+        mu_max = _bounds(center)[1]
+        width = min(nu, 1.0 / mu_max) if mu_max else nu
         hn, ha = 1e-3 * width, 1e-5 * s * (width / nu)
         rows = at(s - ha)._components + center._components + at(s + ha)._components
         grid = telegraph._profiles(np.array([nu - hn, nu, nu + hn]), telegraph._profile_plan(rows))
@@ -421,7 +396,7 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     b = _C_STAR / kappa_min if kappa_min > 0.0 else math.inf
     try:  # the start as unit couplings at tau = b, which refuses b = inf too
         start = ModelParams(a=tuple(unit), tau=b)
-        fits = _dense_points(start, scan_horizon(start))[1] <= _MAX_GRID_POINTS
+        fits = _bounds(start)[4] <= _MAX_GRID_POINTS
     except ValueError:  # b past the domain of ModelParams
         fits = False
     if not fits:
@@ -433,8 +408,7 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     # map: CP, with no interior dip), hi the smallest shown not CP.
     lo, hi = 0.0, math.inf
     while True:
-        params = at(b)
-        value, j, nu = _scan(params, scan_horizon(params))
+        value, j, nu, _ = _scan(at(b), None)
         if value >= -CP_TOLERANCE:
             lo = b
         else:
@@ -466,8 +440,7 @@ def sufficient_condition(params: ModelParams) -> bool:
     the condition trivially.  This is one-sided: a False return does not by
     itself prove loss of complete positivity.
     """
-    real = _ringing(params)
-    return not real or math.sqrt(max(real)) <= MU_STAR_BOUND
+    return _bounds(params)[1] <= MU_STAR_BOUND
 
 
 def markov_cp_check(gammas) -> bool:

@@ -21,7 +21,9 @@ separate question handled in :mod:`rtnqubit.positivity`.
 
 :class:`ModelParams` derives each component's kappa_i, mu_i^2 and regime
 once.  :func:`relaxation_profiles` evaluates each regime present in one
-pass for all of its components, which keep their own formula's bits.
+pass for all of its components, which keep their own formula's bits.  The
+same grouping also yields each branch's envelope bound on |Lambda|, the
+one derivation the CP scan's horizon, grid and mu* test read.
 
 In the white-noise limit (tau -> 0 with 2 a^2 tau fixed) each component
 decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
@@ -54,6 +56,8 @@ __all__ = [
 # around the critical point, to avoid the 0/0 in sin(mu nu)/mu; such a
 # component is in the CRITICAL regime.
 CRITICAL_SERIES_WINDOW = 1e-6
+# Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
+_CRITICAL_CROSSING = 2.289281414562872
 
 
 class Regime(enum.Enum):
@@ -163,23 +167,24 @@ def _nu_array(nu) -> np.ndarray:
 
 def _profile_plan(components) -> tuple:
     # The regime grouping of the regime-table rows in components, for
-    # _profiles: their count, then per branch its rows and its constants as
-    # flat arrays (an empty list for an absent branch).  A CP scan builds it
-    # once and evaluates many point sets with it.
+    # _profiles and _envelope: their count, then per branch its rows and its
+    # constants as flat arrays, the ringing mu^2 kept too (an empty list for
+    # an absent branch).  A CP scan builds it once and evaluates many point
+    # sets with it.
     series, ringing, damped = [], [], []  # branch None stays out: its rows are 1
     for i, (_, musq, branch) in enumerate(components):
         if branch is Regime.CRITICAL:
             series.append((i, musq))
         elif branch is Regime.UNDERDAMPED:
-            ringing.append((i, math.sqrt(musq)))
+            ringing.append((i, math.sqrt(musq), musq))
         elif branch is Regime.OVERDAMPED:
             damped.append((i, math.sqrt(-musq)))
     if series:
         rows, musq = zip(*series)
         series = list(rows), np.array(musq)
     if ringing:
-        rows, mu = zip(*ringing)
-        ringing = list(rows), np.array(mu)
+        rows, mu, musq = zip(*ringing)
+        ringing = list(rows), np.array(mu), musq
     if damped:
         # Constants per component in floats: bitwise equal to the same
         # arithmetic on a column, and cheaper.
@@ -191,6 +196,28 @@ def _profile_plan(components) -> tuple:
             ]
         ).T
     return len(components), series, ringing, damped
+
+
+def _envelope(plan: tuple) -> tuple[float, float, float]:
+    # (crossing, mu_max, amplitude) of a _profile_plan's rows.  By its
+    # branch each profile obeys |Lambda_i(nu)| <= E_i(nu) with
+    #     ringing:   E = exp(-nu) sqrt(1 + 1/mu^2)
+    #     critical:  E = exp(-nu) (1 + nu), which mu^2 < 0 exceeds by < 1e-6
+    #     damped:    E = slow exp(slow_rate nu), the closed form's slow term,
+    # and a row of branch None (identically 1) has none.  Past crossing every
+    # E_i < 1/3; mu_max is the largest real frequency and amplitude the
+    # largest sqrt(1 + 1/mu^2), the smallest mu^2's (both 0 with no ringing).
+    _, series, ringing, damped = plan
+    crossing = _CRITICAL_CROSSING if series else 0.0
+    mu_max = amplitude = 0.0
+    if ringing:
+        mu_max = max(ringing[1].tolist())
+        amplitude = math.sqrt(1.0 + 1.0 / min(ringing[2]))
+        crossing = max(crossing, math.log(3.0 * amplitude))
+    if damped:
+        slow, _, slow_rate, _ = damped[1].tolist()
+        crossing = max(crossing, *(math.log(3.0 * a) / -r for a, r in zip(slow, slow_rate)))
+    return crossing, mu_max, amplitude
 
 
 def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
@@ -214,7 +241,7 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
             (1.0 + nu_arr) - 0.5 * musq.reshape(column) * nu_arr**2 * (1.0 + nu_arr / 3.0)
         )
     if ringing:
-        rows, mu = ringing
+        rows, mu, _ = ringing
         mu = mu.reshape(column)
         # decay * (cos + sin / mu), in place to hold fewer full-size arrays
         phase = mu * nu_arr

@@ -137,6 +137,14 @@ class TestKernelTypes:
         with pytest.raises(ValueError):
             SampledKernel(times=np.array([0.0]), values=np.array([1.0]))
 
+    def test_sampled_leaves_caller_arrays_writeable(self):
+        # the kernel freezes its own copies, not the caller's arrays
+        times, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0])
+        k = SampledKernel(times=times, values=values)
+        assert times.flags.writeable and values.flags.writeable
+        times[1], values[1] = 1.5, 9.0
+        assert k(1.0) == 0.5 and not k.times.flags.writeable
+
 
 class TestSolveVolterra:
     def test_zero_eigenvalue_is_constant(self):
@@ -240,6 +248,12 @@ class TestSolveVolterra:
         for lam in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="eigenvalue must be finite"):
                 solve_volterra(k, lam, t_max=1.0, steps=10)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_nu_grid_validates_tau(self, tau):
+        sol = solve_volterra(ExponentialKernel(tau=1.0), -1.0, t_max=1.0, steps=10)
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            sol.nu_grid(tau)
 
     def test_matches_heun_reference(self):
         blowups = 0

@@ -237,6 +237,14 @@ class TestTelegraphPath:
             path.values([0.5, 2.0, 4.0]), [2.0, -2.0, 2.0]
         )
 
+    def test_leaves_caller_flip_times_writeable(self):
+        # the path freezes its own copy, not the caller's array
+        flips = np.array([1.0, 3.0])
+        path = TelegraphPath(amplitude=2.0, flip_times=flips, tau=1.0, t_max=5.0)
+        assert flips.flags.writeable and not path.flip_times.flags.writeable
+        flips[0] = 2.5
+        assert np.array_equal(path.values([2.0]), [-2.0])
+
     def test_rejects_disordered_flips(self):
         with pytest.raises(ValueError):
             TelegraphPath(amplitude=1.0, flip_times=np.array([2.0, 1.0]), tau=1.0, t_max=5.0)

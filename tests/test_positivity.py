@@ -105,7 +105,7 @@ def reference_refine(params, dip, worst, r, lo, hi):
 
 def reference_scan(params, horizon):
     """positivity._scan with the frozen refinement, 4096 brackets a batch."""
-    nus = positivity._scan_grid(params, horizon)
+    nus = positivity._scan_grid(*positivity._bounds(params, horizon)[2:])
     table = xi(nus, params)
     dip = float(np.sum(params.kappa_taus**2))
     cells = np.diff(nus)
@@ -164,6 +164,54 @@ def edge_brackets():
         (fast, np.array([3, 0]), np.array([0.0, 0.5]), np.array([0.0317, 0.5])),
         (ringing, np.array([3, 3, 0]), np.array([0.6901, 0.5, 0.5]), np.array([0.6923, 0.5, 0.51])),
     ]
+
+
+def envelope_cases():
+    """1200 seeded parameter sets for the envelope reference: kappa tau = 0,
+    mu^2 rounding to -1, 4 kappa tau - 1 = +-4e-9 and +-2e-6, and damped,
+    ringing and mixed tables."""
+    rng = np.random.default_rng(8128)
+    cases = [ModelParams(a=(0.0, 0.0, 0.0), tau=1.0), ModelParams(a=(1.0, 1e-9, 0.0), tau=1.0)]
+    while len(cases) < 1200:
+        tau = float(rng.uniform(0.05, 2.0))
+        kind = len(cases) % 5
+        if kind == 0:  # one component near 1/4, a partner 0 or anywhere
+            kt = 0.25 * (1.0 + rng.choice([4e-9, -4e-9, 2e-6, -2e-6]))
+            a = (0.0, float(rng.uniform(0.0, 2.0) * rng.integers(2)), kt)
+        elif kind == 1:  # mu^2 rounding to -1 next to a coupling
+            big = float(rng.uniform(0.1, 3.0))
+            a = (big, big * 1e-9, 0.0)
+        elif kind == 2:  # damped
+            a = rng.uniform(0.0, 0.1, 3)
+        elif kind == 3:  # mostly ringing
+            a = rng.uniform(0.0, 3.0, 3)
+        else:  # mixed: kappa_3 tau damped, the other two ringing
+            a = (*rng.uniform(0.0, 0.1, 2), 3.0)
+        cases.append(ModelParams(a=tuple(float(x) / tau for x in a), tau=tau))
+    return cases
+
+
+def reference_envelope(params, nu_max=None):
+    """The per-branch formulas scan_horizon, the dense stretch and
+    sufficient_condition used before telegraph derived the envelope, frozen
+    as reference: (horizon, (osc_end, needed), sufficient)."""
+    horizon = 0.0
+    for _, musq, branch in params._components:
+        if branch is Regime.CRITICAL:
+            horizon = max(horizon, 2.289281414562872)
+        elif branch is Regime.UNDERDAMPED:
+            horizon = max(horizon, math.log(3.0 * math.sqrt(1.0 + 1.0 / musq)))
+        elif branch is Regime.OVERDAMPED:
+            mt = math.sqrt(-musq)
+            horizon = max(horizon, math.log(3.0 * (1.0 + 1.0 / mt) / 2.0) / (1.0 - mt))
+    horizon = horizon + 1.0 if nu_max is None else nu_max
+    real = [musq for _, musq, branch in params._components if branch is Regime.UNDERDAMPED]
+    if not real:
+        return horizon, (horizon, 0.0), True
+    envelope = max(math.sqrt(1.0 + 1.0 / musq) for musq in real)
+    osc_end = min(horizon, math.log(envelope * 1e12) + 1.0)
+    needed = 20 * osc_end * math.sqrt(max(real)) / (2.0 * math.pi)
+    return horizon, (osc_end, needed), math.sqrt(max(real)) <= MU_STAR_BOUND
 
 
 def choi_reference(params, nu):
@@ -451,7 +499,7 @@ class TestDipBound:
         assert np.all(np.abs(second) <= 32.0 * kt * kt)
 
     def test_critical_crossing_constant(self):
-        v = positivity._CRITICAL_CROSSING
+        v = telegraph._CRITICAL_CROSSING
         assert v > 0.0
         assert abs((1.0 + v) * math.exp(-v) - 1.0 / 3.0) <= 1e-12
 
@@ -475,13 +523,38 @@ class TestDipBound:
         assert depth(c * (1.0 - 1e-9))[0] > 0.0 > depth(c * (1.0 + 1e-9))[0]
 
 
+class TestFrozenEnvelope:
+    """The horizon, the dense stretch and the mu* test against the
+    per-branch formulas they replaced, bit for bit."""
+
+    def test_bounds_equal_reference(self):
+        for params in envelope_cases():
+            horizon, stretch, sufficient = reference_envelope(params)
+            assert scan_horizon(params) == horizon, params
+            assert positivity._bounds(params)[2:] == (horizon, *stretch), params
+            assert sufficient_condition(params) == sufficient, params
+            cut = 0.3 * horizon  # a cut horizon ends the dense stretch
+            assert positivity._bounds(params, cut)[3:] == reference_envelope(params, cut)[1]
+
+    def test_cases_cover_every_branch(self):
+        cases = envelope_cases()
+        kts = np.concatenate([p.kappa_taus for p in cases])
+        assert np.any(kts == 0.0)
+        assert np.any((kts > 0.0) & ((4.0 * kts) ** 2 - 1.0 == -1.0))
+        for off in (4e-9, -4e-9, 2e-6, -2e-6):
+            assert np.any(np.abs(4.0 * kts - 1.0 - off) < 1e-12), off
+        tables = [set(classify_regime(p)) for p in cases]
+        assert any(Regime.CRITICAL in t for t in tables)
+        assert any({Regime.UNDERDAMPED, Regime.OVERDAMPED} <= t for t in tables)
+
+
 class TestRefinement:
     """The refinement rounds against the frozen 21-point linspace reference."""
 
     def test_same_verdicts_and_witnesses_as_reference(self):
         non_cp = 0
         for params, horizon in reference_cases():
-            value, j, nu = positivity._scan(params, horizon)
+            value, j, nu, _ = positivity._scan(params, horizon)
             ref_value, ref_j, _ = reference_scan(params, horizon)
             assert (value < -CP_TOLERANCE) == (ref_value < -CP_TOLERANCE), (params, horizon)
             if ref_value < -CP_TOLERANCE:
@@ -506,7 +579,7 @@ class TestRefinement:
         monkeypatch.setattr(positivity, "_REFINE_POINTS_FEW", positivity._REFINE_POINTS)
         for params, horizon in reference_cases():
             got = positivity._scan(params, horizon)
-            assert got == reference_scan(params, horizon), (params, horizon)
+            assert got == (*reference_scan(params, horizon), horizon), (params, horizon)
         for params, r, lo, hi in edge_brackets():
             start = (math.inf, 0, 0.0)
             plan = telegraph._profile_plan(params._components)

@@ -19,6 +19,7 @@ from rtnqubit import (
     relaxation_profile,
     relaxation_profiles,
     solve_volterra,
+    telegraph,
 )
 
 RNG = np.random.default_rng(2024)
@@ -395,6 +396,37 @@ class TestFrozenReference:
             assert np.array_equal(func(x[i : i + 1]), full[i : i + 1])
             assert np.array_equal(func(x[i : i + 3]), full[i : i + 3])
             assert np.array_equal(func(x[i + 1 : i + 4]), full[i + 1 : i + 4])
+
+
+class TestEnvelope:
+    """The bounds the CP scan's horizon, grid and mu* test read."""
+
+    @pytest.mark.parametrize(
+        "branch, lo, hi",
+        [
+            (Regime.OVERDAMPED, 0.01, 0.25 - 2e-6),
+            (Regime.CRITICAL, 0.25 - 2.4e-7, 0.25 + 2.4e-7),
+            (Regime.UNDERDAMPED, 0.25 + 2e-6, 50.0),
+        ],
+    )
+    def test_below_one_third_past_crossing(self, branch, lo, hi):
+        # the horizon's premise: past its own crossing (the settle time)
+        # every profile stays under 1/3.  At the crossing it touches 1/3 up
+        # to rounding.  The critical series on the window's damped side
+        # (mu^2 < 0) lies above exp(-nu) (1 + nu): it overshoots 1/3 by under
+        # 1e-6 for under 1e-5 past the crossing, inside scan_horizon's unit
+        # margin (measured 9.4e-7 and 4.1e-6)
+        rng = np.random.default_rng(1931)
+        for kt in rng.uniform(lo, hi, 40):
+            row = telegraph._component(kt, 1.0)
+            assert row[2] is branch
+            settle = telegraph._envelope(telegraph._profile_plan([row]))[0]
+            nu = settle + np.linspace(0.0, 30.0, 30_001)[1:]
+            lam = np.abs(relaxation_profile(nu, kt))
+            if branch is Regime.CRITICAL and (4.0 * kt) ** 2 < 1.0:
+                assert np.all(lam < 1.0 / 3.0 + 1e-6), kt
+                lam = lam[nu > settle + 1e-5]
+            assert np.all(lam < 1.0 / 3.0), (kt, settle)
 
 
 class TestPropagate:
