@@ -182,7 +182,7 @@ def _bounds(params: ModelParams, nu_max: float | None = None) -> tuple:
     # resolvable: past nu = log(amplitude * 1e12) they sit under 1e-12 and
     # the remaining profiles are smooth, so a sparse tail suffices.  With no
     # underdamped profile the stretch is (horizon, 0).
-    plan = telegraph._profile_plan(params._components)
+    plan = params._plan
     crossing, mu_max, amplitude = telegraph._envelope(plan)
     horizon = crossing + 1.0 if nu_max is None else float(nu_max)
     if not 0.0 < horizon < math.inf:

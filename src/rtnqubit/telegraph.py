@@ -20,10 +20,12 @@ so single-qubit positivity is never lost; complete positivity is a
 separate question handled in :mod:`rtnqubit.positivity`.
 
 :class:`ModelParams` derives each component's kappa_i, mu_i^2 and regime
-once.  :func:`relaxation_profiles` evaluates each regime present in one
-pass for all of its components, which keep their own formula's bits.  The
-same grouping also yields each branch's envelope bound on |Lambda|, the
-one derivation the CP scan's horizon, grid and mu* test read.
+once, and keeps their grouping by regime, built on first evaluation.
+:func:`relaxation_profiles` evaluates each regime present in one pass for
+all of its components, which keep their own formula's bits; a scalar nu
+takes the same path as an array.  The same grouping also yields each
+branch's envelope bound on |Lambda|, the one derivation the CP scan's
+horizon, grid and mu* test read.
 
 In the white-noise limit (tau -> 0 with 2 a^2 tau fixed) each component
 decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
@@ -32,6 +34,7 @@ decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +80,8 @@ class ModelParams:
     timescale ``tau > 0`` is the only supported configuration (the
     damping-basis reduction to one scalar kernel needs it).  Each component's
     kappa_i, mu_i^2 and regime (see :func:`classify_regime`) are derived once,
-    here, into the private table the profiles and the CP scan read.
+    here, into the private table the profiles and the CP scan read; its
+    grouping by regime is built on first evaluation and kept.
     """
 
     a: tuple[float, float, float]
@@ -105,6 +109,12 @@ class ModelParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "_components", components)
+
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        # The table's regime grouping (see _profile_plan), built on first
+        # evaluation: construction stays as cheap as the table.
+        return _profile_plan(self._components)
 
     @property
     def kappas(self) -> np.ndarray:
@@ -160,7 +170,11 @@ def classify_regime(params: ModelParams) -> tuple[Regime, Regime, Regime]:
 
 def _nu_array(nu) -> np.ndarray:
     nu_arr = np.asarray(nu, dtype=float)
-    if not ((nu_arr >= 0.0) & (nu_arr < math.inf)).all():
+    if not (
+        0.0 <= nu_arr.item() < math.inf
+        if nu_arr.ndim == 0
+        else ((nu_arr >= 0.0) & (nu_arr < math.inf)).all()
+    ):
         raise ValueError("nu must be >= 0 and finite")
     return nu_arr
 
@@ -168,9 +182,9 @@ def _nu_array(nu) -> np.ndarray:
 def _profile_plan(components) -> tuple:
     # The regime grouping of the regime-table rows in components, for
     # _profiles and _envelope: their count, then per branch its rows and its
-    # constants as flat arrays, the ringing mu^2 kept too (an empty list for
-    # an absent branch).  A CP scan builds it once and evaluates many point
-    # sets with it.
+    # constants as flat arrays, the smallest ringing mu^2 kept too (an empty
+    # tuple for an absent branch).  ModelParams keeps its own; a CP scan
+    # builds one and evaluates many point sets with it.
     series, ringing, damped = [], [], []  # branch None stays out: its rows are 1
     for i, (_, musq, branch) in enumerate(components):
         if branch is Regime.CRITICAL:
@@ -184,18 +198,19 @@ def _profile_plan(components) -> tuple:
         series = list(rows), np.array(musq)
     if ringing:
         rows, mu, musq = zip(*ringing)
-        ringing = list(rows), np.array(mu), musq
+        ringing = list(rows), np.array(mu), min(musq)
     if damped:
         # Constants per component in floats: bitwise equal to the same
-        # arithmetic on a column, and cheaper.
+        # arithmetic on a column, and cheaper.  The transpose is copied so
+        # that a kept plan does not also keep its base.
         rows, mts = zip(*damped)
         damped = list(rows), np.array(
             [
                 (0.5 * (1.0 + 1.0 / mt), 0.5 * (1.0 - 1.0 / mt), -(1.0 - mt), -(1.0 + mt))
                 for mt in mts
             ]
-        ).T
-    return len(components), series, ringing, damped
+        ).T.copy()
+    return len(components), series or (), ringing or (), damped or ()
 
 
 def _envelope(plan: tuple) -> tuple[float, float, float]:
@@ -212,7 +227,7 @@ def _envelope(plan: tuple) -> tuple[float, float, float]:
     mu_max = amplitude = 0.0
     if ringing:
         mu_max = max(ringing[1].tolist())
-        amplitude = math.sqrt(1.0 + 1.0 / min(ringing[2]))
+        amplitude = math.sqrt(1.0 + 1.0 / ringing[2])
         crossing = max(crossing, math.log(3.0 * amplitude))
     if damped:
         slow, _, slow_rate, _ = damped[1].tolist()
@@ -255,9 +270,12 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
         # decaying exponentials so large nu cannot overflow cosh.
         rows, constants = damped
         slow, fast, slow_rate, fast_rate = constants.reshape((4,) + column)
-        out[rows] = slow * np.exp(slow_rate * nu_arr) + fast * np.exp(fast_rate * nu_arr)
-    # Lambda(0) = 1 exactly, which the damped closed form misses by rounding
-    np.copyto(out, 1.0, where=nu_arr == 0.0)
+        values = slow * np.exp(slow_rate * nu_arr) + fast * np.exp(fast_rate * nu_arr)
+        # Lambda(0) = 1 exactly: of the three branches only this closed form
+        # misses it (slow + fast rounds); ringing and series give 1 there.
+        if nu_arr.ndim or nu_arr.item() == 0.0:  # no mask for a 0-d nu > 0
+            np.copyto(values, 1.0, where=nu_arr == 0.0)
+        out[rows] = values
     return out
 
 
@@ -289,7 +307,7 @@ def relaxation_profiles(nu, params: ModelParams) -> np.ndarray:
     evaluated; propagation, xi and the Choi matrix all start from it.  One
     pass per regime covers every component in that regime.
     """
-    return _profiles(_nu_array(nu), _profile_plan(params._components))
+    return _profiles(_nu_array(nu), params._plan)
 
 
 def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:

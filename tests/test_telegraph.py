@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from rtnqubit import (
     ModelParams,
     Regime,
     bloch_to_density,
+    choi_matrix,
     classify_regime,
     damping_spectrum,
     density_to_bloch,
+    kraus_from_params,
     markov_propagate,
     markov_rates,
     pauli,
@@ -20,6 +24,7 @@ from rtnqubit import (
     relaxation_profiles,
     solve_volterra,
     telegraph,
+    xi,
 )
 
 RNG = np.random.default_rng(2024)
@@ -97,7 +102,7 @@ def reference_nus():
     with_zeros[[0, 7, 8, 31]] = 0.0
     refine = rng.uniform(0.0, 6.0, (5, 21))
     refine[2, 0] = 0.0
-    return [0.0, 0.37, 9.5, np.linspace(0.0, 30.0, 301), with_zeros, refine]
+    return [0.0, -0.0, 5e-324, 0.37, 9.5, np.linspace(0.0, 30.0, 301), with_zeros, refine]
 
 
 def random_state(rng):
@@ -396,6 +401,83 @@ class TestFrozenReference:
             assert np.array_equal(func(x[i : i + 1]), full[i : i + 1])
             assert np.array_equal(func(x[i : i + 3]), full[i : i + 3])
             assert np.array_equal(func(x[i + 1 : i + 4]), full[i + 1 : i + 4])
+
+
+class TestScalarLane:
+    """A scalar nu takes the array evaluation's path, bit for bit."""
+
+    @staticmethod
+    def elements():
+        return np.concatenate([np.ravel(nu) for nu in reference_nus()])
+
+    def test_scalar_equals_array_column(self):
+        nus = self.elements()
+        assert np.any(np.signbit(nus) & (nus == 0.0)) and np.any(nus == 5e-324)
+        for p in reference_params():
+            table = relaxation_profiles(nus, p)
+            for k, nu in enumerate(nus.tolist()):
+                for scalar in (nu, np.float64(nu), np.array(nu)):
+                    out = relaxation_profiles(scalar, p)
+                    assert out.shape == (3,) and out.tobytes() == table[:, k].tobytes(), (p, nu)
+
+    def test_one_component_scalar_equals_array_column(self):
+        nus = self.elements()
+        kts = np.unique(np.concatenate([p.kappa_taus for p in reference_params()]))
+        for kt in kts.tolist():
+            column = relaxation_profile(nus, kt)
+            for k, nu in enumerate(nus.tolist()):
+                for scalar in (nu, np.float64(nu), np.array(nu)):
+                    out = relaxation_profile(scalar, kt)
+                    assert type(out) is float, (kt, nu)
+                    assert np.float64(out).tobytes() == column[k].tobytes(), (kt, nu)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, -0.1, -5e-324])
+    def test_zero_d_rejects_outside_domain(self, nu):
+        p = ModelParams(a=(0.4, 0.3, 1.2), tau=0.7)
+        for scalar in (nu, np.float64(nu), np.array(nu)):
+            with pytest.raises(ValueError, match=r"^nu must be >= 0 and finite$"):
+                relaxation_profiles(scalar, p)
+            with pytest.raises(ValueError, match=r"^nu must be >= 0 and finite$"):
+                relaxation_profile(scalar, 1.0)
+
+
+class TestPlanCache:
+    """ModelParams builds its regime grouping once, on first evaluation."""
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        calls = []
+        build = telegraph._profile_plan
+
+        def counting(components):
+            calls.append(components)
+            return build(components)
+
+        monkeypatch.setattr(telegraph, "_profile_plan", counting)
+        return calls
+
+    def test_built_once_on_first_evaluation(self, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+        p = ModelParams(a=(0.3, 0.05, 1.1), tau=0.9)
+        assert calls == []
+        rho = bloch_to_density([0.3, -0.2, 0.5])
+        for nu in np.linspace(0.0, 4.0, 50).tolist():
+            propagate(rho, nu, p)
+            xi(nu, p)
+            choi_matrix(p, nu)
+            kraus_from_params(p, nu)
+        assert len(calls) == 1
+
+    def test_cached_plan_is_invisible(self):
+        nus = np.array([0.0, 0.37, 9.5])
+        for p in reference_params():
+            expected = relaxation_profiles(nus, p)  # builds the plan
+            fresh = ModelParams(a=p.a, tau=p.tau)
+            assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+            for other in (dataclasses.replace(p), pickle.loads(pickle.dumps(p))):
+                assert other == fresh and hash(other) == hash(fresh)
+                assert np.array_equal(relaxation_profiles(nus, other), expected)
+            assert np.array_equal(relaxation_profiles(nus, fresh), expected)
 
 
 class TestEnvelope:
