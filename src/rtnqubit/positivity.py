@@ -16,7 +16,14 @@ positivity of the map therefore reduces to
 
 which this module decides by a finite scan: every profile obeys a
 decaying envelope, so past a computable horizon all xi_j stay positive.
-Before it, one vectorized pass refines the grid minima.  Since
+Before it, one vectorized pass refines the grid minima.  is_cp samples the
+grid only up to the first point past nu_e, where the envelopes of the
+evaluated profiles sum below 1 - 4 pad, pad being the largest hidden dip of
+a grid cell (below): 4 xi_j >= 1 - sum_i |Lambda_i|, so past nu_e every
+xi_j > pad, and no grid minimum there is rescanned or is negative.  The
+verdict, witness and horizon are therefore the whole grid's, at about half
+its points.  With one nonzero coupling is_cp scans nothing: two xi_j are
+exactly 0 and two are (1 -+ Lambda)/2 >= 0.  Since
 Lambda' = -16 (kappa tau)^2 int_0^nu exp(-2 (nu - s)) Lambda(s) ds and
 |Lambda| <= 1, |xi_j''| <= 8 sum_i (kappa_i tau)^2, so no dip deeper than
 sum_i (kappa_i tau)^2 w^2 below a sampled minimum hides in its two cells (w
@@ -95,6 +102,10 @@ _C_STAR = 0.7058598262632272
 # Most stencil steps a tangency solve takes before the boundary search
 # bisects instead.
 _TANGENCY_STEPS = 8
+# Signs (s, t) of each xi row in 4 xi = (1 + s l3) + t (l1 + s l2), by row.
+_ROW_SIGNS = ((-1.0, -1.0, 1.0, 1.0), (1.0, -1.0, -1.0, 1.0))
+# Bound on a grid cell over its nominal step, for the rounding of the grid.
+_STEP_SLACK = 1.0 + 1e-6
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
@@ -194,13 +205,60 @@ def _bounds(params: ModelParams, nu_max: float | None = None) -> tuple:
     return plan, mu_max, horizon, osc_end, needed
 
 
-def _scan_grid(horizon: float, osc_end: float, needed: float) -> np.ndarray:
-    n_dense = min(max(_BASE_GRID_POINTS, math.ceil(needed)), _MAX_GRID_POINTS)
-    dense = np.linspace(0.0, osc_end, n_dense)
-    if osc_end >= horizon:
+def _dense_points(needed: float) -> int:
+    # The point count of a scan grid's dense stretch.
+    return min(max(_BASE_GRID_POINTS, math.ceil(needed)), _MAX_GRID_POINTS)
+
+
+def _scan_grid(horizon: float, osc_end: float, needed: float, end: float = math.inf) -> np.ndarray:
+    # The scan grid, or its prefix through its first point at or past end.
+    n_dense = _dense_points(needed)
+    dense = _linspace_prefix(0.0, osc_end, n_dense, end)
+    if osc_end >= horizon or dense.size < n_dense:
         return dense
-    tail = np.linspace(osc_end, horizon, _BASE_GRID_POINTS)[1:]
+    tail = _linspace_prefix(osc_end, horizon, _BASE_GRID_POINTS, end)[1:]
     return np.concatenate([dense, tail])
+
+
+def _linspace_prefix(start: float, stop: float, num: int, end: float) -> np.ndarray:
+    # np.linspace(start, stop, num) through its first point at or past end,
+    # by linspace's own arithmetic: point i is i * step + start.
+    step = (stop - start) / (num - 1)
+    if end >= stop or step == 0.0:
+        return np.linspace(start, stop, num)
+    i = max(math.ceil((end - start) / step), 0)
+    while i > 0 and (i - 1) * step + start >= end:
+        i -= 1
+    while i * step + start < end:
+        i += 1
+    if i >= num - 1:
+        return np.linspace(start, stop, num)
+    points = np.arange(i + 1.0)
+    points *= step
+    points += start
+    return points
+
+
+def _cp_end(plan: tuple, dip: float, horizon: float, osc_end: float, needed: float) -> float:
+    """Where is_cp may stop sampling: a nu past which every xi_j > pad.
+
+    pad = dip h^2 is the largest hidden dip of a grid cell (h the wider of
+    the dense and the tail step), so no grid minimum past this nu can pass
+    the rescan test gap > value.  Since 4 xi_j >= 1 - sum_i E_i with E_i the
+    envelope of |Lambda_i| (telegraph._envelope_end), the end is where that
+    sum falls to 1 - 4 pad, less 1e-9 for the rounding of the profiles and
+    the steps; inf where no such nu is derived or it lies past the horizon.
+    """
+    h = max(osc_end / (_dense_points(needed) - 1), (horizon - osc_end) / (_BASE_GRID_POINTS - 1))
+    end = telegraph._envelope_end(plan, 1.0 - 4.0 * dip * (h * _STEP_SLACK) ** 2 - 1e-9)
+    return end if end < horizon else math.inf
+
+
+def _dip(params: ModelParams) -> float:
+    # sum_i (kappa_i tau)^2, the dip bound's constant, read off the table in
+    # the order and with the bits of np.sum(params.kappa_taus**2)
+    k1, k2, k3 = (c[0] * params.tau for c in params._components)
+    return (k1 * k1 + k2 * k2) + k3 * k3
 
 
 def _scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float, float]:
@@ -217,43 +275,68 @@ def _scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float,
     the dip bound proves it positive, and no further.
     """
     plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
-    nus = _scan_grid(horizon, osc_end, needed)
+    return (*_dip_scan(plan, _dip(params), _scan_grid(horizon, osc_end, needed)), horizon)
+
+
+def _cp_scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float, float]:
+    # is_cp's scan: _scan's result wherever that is negative, else a value
+    # >= 0.  One nonzero coupling is CP with no scan: two xi_j are exactly 0
+    # and two are (1 -+ Lambda)/2 >= 0.  Otherwise the grid ends at _cp_end.
+    plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
+    if sum(1 for a in params.a if a) == 1:
+        return math.inf, 0, 0.0, horizon
+    dip = _dip(params)
+    end = _cp_end(plan, dip, horizon, osc_end, needed)
+    return (*_dip_scan(plan, dip, _scan_grid(horizon, osc_end, needed, end)), horizon)
+
+
+def _dip_scan(plan: tuple, dip: float, nus: np.ndarray) -> tuple[float, int, float]:
+    # The scan body of _scan on the grid nus: the final running minimum
+    # (value, j, nu).
     table = _combine(telegraph._profiles(nus, plan))
-    dip = float(np.sum(params.kappa_taus**2))
-    cells = np.diff(nus)
-    hidden = dip * np.maximum(cells[:-1], cells[1:]) ** 2
     inner = table[:, 1:-1]
     rows, cols = np.nonzero(inner < np.minimum(table[:, :-2], table[:, 2:]))
-    vals, gap = inner[rows, cols], hidden[cols]
+    # each interior minimum's hidden dip, over the wider of its two cells
+    left, mid, right = nus[cols], nus[cols + 1], nus[cols + 2]
+    vals, gap = inner[rows, cols], dip * np.maximum(mid - left, right - mid) ** 2
     j, i = np.unravel_index(np.argmin(table), table.shape)
     worst = float(table[j, i]), int(j), float(nus[i])
     if worst[0] >= 0.0:
         worst = math.inf, 0, 0.0
         if vals.size:
             b = int(np.argmin(vals))
-            worst = float(vals[b]), int(rows[b]), float(nus[cols[b] + 1])
+            worst = float(vals[b]), int(rows[b]), float(mid[b])
 
     # Rescan a bracket while its hidden dip could lower the running minimum.
     keep = (vals - gap < worst[0]) & (gap > vals) & (gap > _EPS)
-    rows, cols = rows[keep], cols[keep]
+    rows, left, right = rows[keep], left[keep], right[keep]
     for start in range(0, rows.size, _REFINE_BATCH):
-        r, c = rows[start : start + _REFINE_BATCH], cols[start : start + _REFINE_BATCH]
-        worst = _refine(plan, dip, worst, r, nus[c], nus[c + 2])
-    return (*worst, horizon)
+        batch = slice(start, start + _REFINE_BATCH)
+        worst = _refine(plan, dip, worst, rows[batch], left[batch], right[batch])
+    return worst
 
 
 def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
     # Rescan each bracket [lo, hi] of xi row r, then the two cells around
     # its lowest point, while its hidden dip could lower the running minimum
-    # worst = (value, j, nu); returns the final worst.
+    # worst = (value, j, nu); returns the final worst.  Each bracket's row
+    # alone is combined, with _combine's grouping and bits:
+    # 4 xi = (1 + s l3) + t (l1 + s l2), s = -1 for rows 0 and 1, t = -1
+    # for rows 1 and 2, sign flips being exact.
     worst_val = worst[0]
     while r.size:
         n = max(_REFINE_POINTS, _REFINE_POINTS_FEW // r.size)
         pts, step = _rescan_points(lo, hi, n)
-        k = np.arange(r.size)
-        vals = _combine(telegraph._profiles(pts, plan))[r, k]
+        profiles = telegraph._profiles(pts, plan)
+        signs = np.array(_ROW_SIGNS)[:, r, None]
+        profiles[1:] *= signs[0]
+        vals = profiles[2] + 1.0
+        pair = profiles[0] + profiles[1]
+        pair *= signs[1]
+        vals += pair
+        vals *= 0.25
         m = vals.argmin(axis=1)
-        low = vals[k, m]
+        low = vals.min(axis=1)
         b = low.argmin()
         if low[b] < worst_val:
             worst_val = float(low[b])
@@ -293,22 +376,26 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     there for a value below the worst one found.  A round of k brackets
     rescans each at max(21, 201 // k) points.  The verdict is negative
     exactly when the worst value found lies below -CP_TOLERANCE; the
-    witness then records that value and the nu it was evaluated at.
+    witness then records that value and the nu it was evaluated at.  The
+    grid is sampled up to the envelope end nu_e of the module docstring,
+    past which no xi_j can change either; a map with one nonzero coupling
+    is CP with no scan.
 
     The default horizon comes from :func:`scan_horizon` and certifies the
     infinite-time statement; passing ``nu_max`` restricts the scan.
     """
-    value, j, nu, horizon = _scan(params, nu_max)
+    value, j, nu, horizon = _cp_scan(params, nu_max)
     witness = CpWitness(nu=nu, index=j + 1, value=value) if value < -CP_TOLERANCE else None
     return CpVerdict(is_cp=witness is None, witness=witness, horizon=horizon)
 
 
-def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | None:
+def _tangency(unit, s: float, j: int, nu: float) -> tuple[float, float, float] | None:
     """Where the dip of xi_j near nu first reaches -CP_TOLERANCE along the ray.
 
     Newton steps on (xi_j + CP_TOLERANCE, d xi_j / d nu) = 0 in (nu, a*tau),
-    from (nu, s), ``at`` mapping a*tau to its ModelParams.  Each step reads
-    one profile evaluation on a 3 x 3 stencil: nu -+ 1e-3 w, with
+    from (nu, s), along the couplings unit * a*tau at tau = 1.  Each step
+    reads one profile evaluation on a 3 x 3 stencil, its component rows
+    built as ModelParams builds them: nu -+ 1e-3 w, with
     w = min(nu, 1/mu_max) so that it resolves the fastest period, and
     a*tau -+ 1e-5 a*tau w / nu, which moves that period's phase at nu as
     little.  Returns (a*tau, nu, d nu / d a*tau along the dip) once a step
@@ -317,12 +404,16 @@ def _tangency(at, s: float, j: int, nu: float) -> tuple[float, float, float] | N
     the ray, moves a*tau by over half of itself or nu by over w, or
     _TANGENCY_STEPS steps do not converge.
     """
+
+    def table(a_tau: float) -> tuple:
+        return telegraph._table(*(u * a_tau for u in unit), 1.0)
+
     for _ in range(_TANGENCY_STEPS):
-        center = at(s)
-        mu_max = _bounds(center)[1]
+        center = table(s)
+        mu_max = telegraph._mu_max(center)
         width = min(nu, 1.0 / mu_max) if mu_max else nu
         hn, ha = 1e-3 * width, 1e-5 * s * (width / nu)
-        rows = at(s - ha)._components + center._components + at(s + ha)._components
+        rows = table(s - ha) + center + table(s + ha)
         grid = telegraph._profiles(np.array([nu - hn, nu, nu + hn]), telegraph._profile_plan(rows))
         # rows a*tau - ha, a*tau, a*tau + ha; columns nu - hn, nu, nu + hn
         low, mid, high = _combine(grid.reshape(3, 3, 3).swapaxes(0, 1))[j].tolist()
@@ -416,7 +507,7 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
         delta = 1e-6 * max(1.0, lo)
         if hi <= lo + delta:
             return lo
-        tangent = _tangency(at, b, j, nu) if nu > 0.0 else None
+        tangent = _tangency(unit.tolist(), b, j, nu) if nu > 0.0 else None
         if tangent is not None:
             # Step to just below the crossing s; certify not CP delta above.
             s, nu, drift = tangent

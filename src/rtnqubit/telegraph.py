@@ -61,6 +61,9 @@ __all__ = [
 CRITICAL_SERIES_WINDOW = 1e-6
 # Root of (1 + v) exp(-v) = 1/3 on v > 1: the critical envelope's crossing.
 _CRITICAL_CROSSING = 2.289281414562872
+# Most Newton steps _envelope_end takes; it returns the least end seen by
+# then (inf when none).
+_END_STEPS = 12
 
 
 class Regime(enum.Enum):
@@ -97,13 +100,7 @@ class ModelParams:
         tau = float(self.tau)
         if not (math.isfinite(tau) and tau > 0.0):
             raise ValueError(f"flip timescale must be finite and > 0, got {tau}")
-        # kappa_i = sqrt(a_j^2 + a_k^2); math.sqrt is correctly rounded, as
-        # np.sqrt is: the same bits as an array computation, and cheaper.
-        components = (
-            _component(math.sqrt(a2 * a2 + a3 * a3), tau),
-            _component(math.sqrt(a3 * a3 + a1 * a1), tau),
-            _component(math.sqrt(a1 * a1 + a2 * a2), tau),
-        )
+        components = _table(a1, a2, a3, tau)
         if None in components:
             raise ValueError(f"a = {a} at tau = {tau} overflows 4 kappa_i^2 or (4 kappa_i tau)^2")
         object.__setattr__(self, "a", a)
@@ -129,6 +126,18 @@ class ModelParams:
     def mu_squared(self) -> np.ndarray:
         """(4 kappa_i tau)^2 - 1; negative values mean imaginary frequency."""
         return np.array([c[1] for c in self._components])
+
+
+def _table(a1: float, a2: float, a3: float, tau: float) -> tuple:
+    # The component table of couplings a at tau, a row None where it
+    # overflows.  kappa_i = sqrt(a_j^2 + a_k^2); math.sqrt is correctly
+    # rounded, as np.sqrt is: the same bits as an array computation, and
+    # cheaper.
+    return (
+        _component(math.sqrt(a2 * a2 + a3 * a3), tau),
+        _component(math.sqrt(a3 * a3 + a1 * a1), tau),
+        _component(math.sqrt(a1 * a1 + a2 * a2), tau),
+    )
 
 
 def _component(kappa: float, tau: float) -> tuple[float, float, Regime | None] | None:
@@ -235,6 +244,65 @@ def _envelope(plan: tuple) -> tuple[float, float, float]:
     return crossing, mu_max, amplitude
 
 
+def _mu_max(components) -> float:
+    # The largest real frequency of regime-table rows, as _envelope reads it
+    # off their plan, without building one (0 with no ringing row).
+    ringing = [musq for _, musq, branch in components if branch is Regime.UNDERDAMPED]
+    return math.sqrt(max(ringing)) if ringing else 0.0
+
+
+def _envelope_end(plan: tuple, level: float) -> float:
+    # A nu past which sum_i E_i(nu) <= level, the E_i bounding the evaluated
+    # profiles |Lambda_i| by branch, or inf where none is derived (a row of
+    # branch None, identically 1, or level <= 0).  The E_i are _envelope's,
+    # but for the critical series, whose mu^2 term _envelope leaves out:
+    #     E = exp(-nu) [(1 + nu) + |mu^2| nu^2 (1 + nu/3) / 2].
+    # When every profile is damped (so Lambda_i >= 0) the smallest E_i is
+    # left out, since each sign row of xi gives one profile a + sign or all
+    # three.  Every E_i, and so the sum, decreases in nu > 0.  The sum is
+    # exp(-nu) P(nu), P a cubic, plus the damped terms; the end is
+    # ln(P / level) when P is constant (all ringing), else the smallest nu
+    # where the sum is seen <= level in Newton steps on ln(sum), from the
+    # largest single term's end: a step from below overshoots by 1e-6 nu,
+    # and one from above within that ends them.
+    size, series, ringing, damped = plan
+    rows = sum(len(branch[0]) for branch in (series, ringing, damped) if branch)
+    if rows < size or not level > 0.0:
+        return math.inf
+    c0 = c1 = c2 = c3 = 0.0  # P's coefficients
+    if ringing:
+        c0 = sum(math.sqrt(1.0 + 1.0 / mu / mu) for mu in ringing[1].tolist())
+    for musq in series[1].tolist() if series else ():
+        c0, c1, c2, c3 = c0 + 1.0, c1 + 1.0, c2 + 0.5 * abs(musq), c3 + abs(musq) / 6.0
+    if not (series or damped):
+        return math.log(c0 / level)
+    terms = list(zip(*damped[1][::2].tolist())) if damped else []  # (slow, slow_rate)
+    spare = rows == len(terms)
+    nu = max([math.log(a / level) / -r for a, r in terms] + ([math.log(c0 / level)] if c0 else []))
+    end = math.inf
+    for _ in range(_END_STEPS):
+        decay = math.exp(-nu)
+        total = decay * (c0 + nu * (c1 + nu * (c2 + nu * c3)))
+        slope = decay * ((c1 - c0) + nu * ((2.0 * c2 - c1) + nu * (3.0 * c3 - c2 - nu * c3)))
+        parts = [(a * math.exp(r * nu), r) for a, r in terms]
+        if spare:
+            parts.remove(min(parts))
+        for part, rate in parts:
+            total += part
+            slope += rate * part
+        step = math.log(total / level) * total / -slope if total else 0.0
+        if total <= level:  # an end; step back toward the root
+            end = nu
+            if -step <= 1e-6 * nu:
+                return end
+            nu += step
+        else:  # overshoot, so that a convex ln(sum) is passed
+            nu += step + 1e-6 * nu
+            if nu >= end:
+                return end
+    return end
+
+
 def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
     # The closed form for each row of a _profile_plan on nu_arr, which the
     # caller has validated; shape (rows,) + nu_arr.shape (0-d nu_arr
@@ -242,7 +310,7 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
     # components, their constants a column against nu, so every component
     # keeps the formula (and the bits) of its own branch.
     size, series, ringing, damped = plan
-    out = np.ones((size,) + nu_arr.shape)  # rows of branch None stay 1
+    blocks = []  # (rows, values) of each branch present
     column = (-1,) + (1,) * nu_arr.ndim
     if series or ringing:
         decay = np.exp(-nu_arr)
@@ -252,9 +320,10 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
         # valid for mu^2 of either sign; truncation error < 1e-10 inside
         # the window.
         rows, musq = series
-        out[rows] = decay * (
+        values = decay * (
             (1.0 + nu_arr) - 0.5 * musq.reshape(column) * nu_arr**2 * (1.0 + nu_arr / 3.0)
         )
+        blocks.append((rows, values))
     if ringing:
         rows, mu, _ = ringing
         mu = mu.reshape(column)
@@ -264,7 +333,7 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
         wave /= mu
         wave += np.cos(phase, out=phase)
         wave *= decay
-        out[rows] = wave
+        blocks.append((rows, wave))
     if damped:
         # Overdamped: e^-nu (cosh + sinh/mt) recast as a sum of two
         # decaying exponentials so large nu cannot overflow cosh.
@@ -275,6 +344,11 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
         # misses it (slow + fast rounds); ringing and series give 1 there.
         if nu_arr.ndim or nu_arr.item() == 0.0:  # no mask for a 0-d nu > 0
             np.copyto(values, 1.0, where=nu_arr == 0.0)
+        blocks.append((rows, values))
+    if len(blocks) == 1 and len(blocks[0][0]) == size:
+        return blocks[0][1]  # one branch holds every row, in order
+    out = np.ones((size,) + nu_arr.shape)  # rows of branch None stay 1
+    for rows, values in blocks:
         out[rows] = values
     return out
 

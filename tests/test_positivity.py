@@ -447,10 +447,27 @@ class TestIsCp:
     def test_bound_ends_refinement_of_dephasing(self, monkeypatch):
         # the first minima of xi_1 and xi_4 pass the grid's dip bound, but
         # one rescan shows they cannot reach below the witness value 0: the
-        # grid and that rescan are the scan's only evaluations
+        # grid and that rescan are the scan's only evaluations.  The second
+        # coupling, whose profile rounds to 1, keeps the map off the one-axis
+        # shortcut and its grid whole
         calls = count_evaluations(monkeypatch)
-        assert is_cp(ModelParams(a=(100.0, 0.0, 0.0), tau=1.0)).is_cp
+        assert is_cp(ModelParams(a=(100.0, 1e-9, 0.0), tau=1.0)).is_cp
         assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("nu_max", [None, 0.5])
+    def test_one_axis_is_cp_without_a_scan(self, monkeypatch, nu_max):
+        # two xi_j are exactly 0 and two are (1 -+ Lambda)/2 >= 0: no profile
+        # is evaluated, and the horizon is the scan's
+        calls = count_evaluations(monkeypatch)
+        for a in ((1e6, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 0.0, 0.25)):
+            params = ModelParams(a=a, tau=1.0)
+            verdict = is_cp(params, nu_max=nu_max)
+            assert verdict == positivity.CpVerdict(
+                is_cp=True, witness=None, horizon=scan_horizon(params) if nu_max is None else nu_max
+            )
+        assert calls == []
+        with pytest.raises(ValueError, match="scan horizon must be finite and > 0"):
+            is_cp(ModelParams(a=(1e6, 0.0, 0.0), tau=1.0), nu_max=-1.0)
 
     def test_touching_zero_ends_and_is_cp(self):
         # at mu = pi / ln 3 the first minimum of xi_4 is exactly 0 (at
@@ -612,6 +629,129 @@ class TestRefinement:
         calls = count_evaluations(monkeypatch)
         critical_flip_parameter((1.0, 1.0, 0.0), tau=1.0)
         assert 1 <= len(calls) <= 8
+
+
+def cut_cases():
+    """(params, nu_max) pairs in every branch the envelope end meets:
+    kappa tau = 0 partners, 4 kappa tau - 1 at +-4e-9, +-1e-7 and +-9.99e-7
+    (one component, or all three), damped, ringing, mixed, one slow damped
+    profile next to two fast ones, and 30 % cut horizons."""
+    rng = np.random.default_rng(6174)
+    offsets = [4e-9, -4e-9, 1e-7, -1e-7, 9.99e-7, -9.99e-7]
+    cases = []
+    for k in range(240):
+        tau = float(rng.uniform(0.05, 2.0))
+        kind = k % 6
+        if kind == 0:  # a critical kappa_2 tau, a partner 0 (kappa_3 = 0) or anywhere
+            kt = 0.25 * (1.0 + offsets[k // 6 % 6])
+            a = (0.0, float(rng.uniform(0.0, 2.0) * (k // 36 % 2)), kt)
+        elif kind == 1:  # damped
+            a = rng.uniform(0.0, 0.1, 3)
+        elif kind == 2:  # ringing
+            a = rng.uniform(0.0, 3.0, 3)
+        elif kind == 3:  # mixed: kappa_3 tau damped, the other two ringing
+            a = (*rng.uniform(0.0, 0.1, 2), 3.0)
+        elif kind == 4:  # one slow damped profile next to two fast ones
+            a = rng.permutation([rng.uniform(1.0, 5.0), *rng.uniform(0.005, 0.05, 2)])
+        else:  # three equal critical components
+            a = (0.25 * (1.0 + offsets[k // 6 % 6]) / math.sqrt(2.0),) * 3
+        params = ModelParams(a=tuple(float(x) / tau for x in a), tau=tau)
+        cut = float(rng.uniform(0.05, 1.5)) * scan_horizon(params) if k % 10 < 3 else None
+        cases.append((params, cut))
+    return cases
+
+
+def parity_cases():
+    """reference_cases() and seeded random maps with cut horizons."""
+    rng = np.random.default_rng(1789)
+    cases = reference_cases()
+    for k in range(60):
+        params = edge_params(rng) if k % 3 == 0 else random_params(rng)
+        cases.append((params, float(rng.uniform(0.05, 1.5)) * scan_horizon(params)))
+    return cases
+
+
+class TestCpCut:
+    """is_cp samples the grid only up to the envelope end: the proof that
+    the rest of the grid cannot change its verdict, and the parity."""
+
+    def test_xi_exceeds_every_hidden_dip_past_the_end(self):
+        cut = tail = critical = 0
+        for params, nu_max in cut_cases():
+            plan, mu_max, horizon, osc_end, needed = positivity._bounds(params, nu_max)
+            dip = float(np.sum(params.kappa_taus**2))
+            end = positivity._cp_end(plan, dip, horizon, osc_end, needed)
+            if any(branch is None for *_, branch in params._components):
+                assert end == math.inf, params  # a row identically 1
+            if end == math.inf:
+                continue
+            grid = positivity._scan_grid(horizon, osc_end, needed)
+            prefix = positivity._scan_grid(horizon, osc_end, needed, end)
+            assert end < horizon and prefix[-1] >= end and prefix[-2] < end, params
+            assert np.array_equal(prefix, grid[: prefix.size]), params
+            # the largest hidden dip of the whole grid
+            pad = dip * float(np.max(np.diff(grid))) ** 2
+            n = max(20_001, math.ceil(50.0 * 2.0 * horizon * mu_max / (2.0 * math.pi)))
+            nus = np.linspace(end, 2.0 * horizon, n)
+            assert float(xi(nus, params).min()) > pad, (params, nu_max)
+            cut += 1
+            tail += end > osc_end
+            critical += Regime.CRITICAL in classify_regime(params)
+        assert cut >= 150 and tail >= 5 and critical >= 40, (cut, tail, critical)
+
+    def test_critical_envelope_covers_the_series(self):
+        # at 4 kappa tau - 1 = -9.99e-7 the series exceeds exp(-nu) (1 + nu),
+        # the critical envelope of the horizon, just past its 1/3 crossing;
+        # the end read off the series' own envelope lies past every point
+        # where |Lambda| > 1/3
+        kt = 0.25 * (1.0 - 9.99e-7)
+        plan = telegraph._profile_plan((telegraph._component(kt, 1.0),))
+        nus = np.linspace(0.0, 30.0, 300_001)
+        lam = np.abs(relaxation_profile(nus, kt))
+        assert np.any(lam > np.exp(-nus) * (1.0 + nus))
+        past = telegraph._CRITICAL_CROSSING + 1e-6
+        assert abs(relaxation_profile(past, kt)) > 1.0 / 3.0
+        for level in (1.0 / 3.0, 0.9, 0.5, 1e-3):
+            end = telegraph._envelope_end(plan, level)
+            assert np.all(lam[nus >= end] <= level), level
+            assert end < 1.001 * float(nus[lam > level][-1]) + 1e-3, level
+
+    def test_dip_is_the_sum_of_squares(self):
+        # the dip constant read off the table, bit for bit
+        for params in bitwise_cases() + envelope_cases():
+            assert positivity._dip(params) == float(np.sum(params.kappa_taus**2)), params
+
+    @pytest.mark.parametrize("n", [2, 3, 2000, 20_001])
+    def test_linspace_prefix(self, n):
+        for start, stop in ((0.0, 3.7), (1.25, 40.0), (0.0, 5e-324)):
+            full = np.linspace(start, stop, n)
+            for end in (start, 0.5 * (start + stop), stop, math.inf, float(full[-2])):
+                prefix = positivity._linspace_prefix(start, stop, n, end)
+                assert np.array_equal(prefix, full[: prefix.size])
+                assert prefix[-1] >= end or prefix.size == n
+
+    def test_is_cp_equals_the_frozen_full_grid_reference(self, monkeypatch):
+        # with every round at 21 points, the frozen reference's rounds
+        monkeypatch.setattr(positivity, "_REFINE_POINTS_FEW", positivity._REFINE_POINTS)
+        cut = 0
+        for params, horizon in parity_cases():
+            value, j, nu = reference_scan(params, horizon)
+            witness = positivity.CpWitness(nu=nu, index=j + 1, value=value)
+            expected = positivity.CpVerdict(value >= -CP_TOLERANCE, None, horizon)
+            if value < -CP_TOLERANCE:
+                expected = positivity.CpVerdict(False, witness, horizon)
+            assert is_cp(params, nu_max=horizon) == expected, (params, horizon)
+            bounds = positivity._bounds(params, horizon)
+            cut += positivity._cp_end(bounds[0], positivity._dip(params), *bounds[2:]) < math.inf
+        assert cut >= 150
+
+    def test_is_cp_equals_the_full_scan(self):
+        for params, horizon in parity_cases():
+            value, j, nu, _ = positivity._scan(params, horizon)
+            verdict = is_cp(params, nu_max=horizon)
+            assert verdict.is_cp == (value >= -CP_TOLERANCE) and verdict.horizon == horizon
+            if not verdict.is_cp:
+                assert verdict.witness == positivity.CpWitness(nu=nu, index=j + 1, value=value)
 
 
 class TestCriticalFlipParameter:
@@ -832,9 +972,7 @@ class TestCriticalFlipParameter:
 
 
 class TestTangency:
-    @staticmethod
-    def equal(a_tau):
-        return ModelParams(a=(a_tau, a_tau, a_tau), tau=1.0)
+    equal = (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("start", [(0.5, 1.1), (0.55, 1.0)])
     def test_equal_couplings_cross_at_the_closed_form(self, start):
