@@ -333,6 +333,8 @@ def _cmd_volterra_check(cfg: dict) -> tuple:
     kernel = kernels.ExponentialKernel(tau=params.tau)
     spectrum = telegraph.damping_spectrum(params)[1:]
     t_max = 2.0 * params.tau * cfg["nu_max"]
+    if not 0.0 < t_max < math.inf:
+        raise UsageError(f"volterra-check needs a finite positive horizon 2 tau nu-max, got {t_max:g}")
     rows = []
     worst = 0.0
     for i, (lam_i, kt) in enumerate(zip(spectrum, params.kappa_taus), start=1):

@@ -18,8 +18,8 @@ Heun (predictor-corrector) time stepping and converges at second order in
 the step size.  For the exponential kernel the memory integral I(t) and
 L(t) form a two-state linear system, so one step is a fixed 2x2 map of
 (L, I) and the whole grid follows from its powers in O(log steps) numpy
-operations.  White-noise evolution is handled in closed form by
-:func:`rtnqubit.telegraph.markov_propagate`.
+operations.  The white-noise limit's decay rates are given in closed form
+by :func:`rtnqubit.telegraph.markov_rates`.
 """
 
 from __future__ import annotations

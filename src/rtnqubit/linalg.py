@@ -17,8 +17,6 @@ __all__ = [
     "bloch_to_density",
     "density_to_bloch",
     "hermitian_eigenvalues",
-    "bell_projector",
-    "is_density_matrix",
 ]
 
 BLOCH_NORM_TOL = 1e-12
@@ -103,21 +101,3 @@ def hermitian_eigenvalues(matrix, atol: float = HERMITICITY_TOL) -> np.ndarray:
     if not defect <= atol:  # a NaN entry or tolerance fails too
         raise ValueError(f"matrix is not Hermitian: max |M - M^+| = {defect:.3e}")
     return np.linalg.eigvalsh(m)
-
-
-def bell_projector() -> np.ndarray:
-    """Projector onto the maximally entangled state (|00> + |11>) / sqrt(2)."""
-    v = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return np.outer(v, v.conj())
-
-
-def is_density_matrix(rho, atol: float = 1e-12) -> bool:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        return False
-    try:
-        eigs = hermitian_eigenvalues(rho, atol)  # a NaN entry fails Hermiticity
-    except ValueError:
-        return False
-    return bool(abs(np.trace(rho) - 1.0) <= atol and eigs[0] >= -atol)

@@ -50,7 +50,6 @@ __all__ = [
     "sample_path",
     "evolve_trajectory",
     "ensemble_average",
-    "signal_samples",
     "trajectory_rng",
 ]
 
@@ -407,28 +406,3 @@ def ensemble_average(
         seed=int(seed),
         contract_version=CONTRACT_VERSION,
     )
-
-
-def signal_samples(tau: float, a: float, times, n_paths: int, seed: int) -> np.ndarray:
-    """Matrix of telegraph signal values, one row per sampled path.
-
-    Convenience for statistical checks (zero mean, exponential
-    autocorrelation a^2 exp(-|dt|/tau)); draws axis 1 of the ensemble's
-    block sampler, so the checks test the oracle's own noise.
-    """
-    times = np.asarray(times, dtype=float)
-    if not (times.size and np.all((times >= 0.0) & (times < math.inf))):
-        raise ValueError("times must be non-empty, finite and >= 0")
-    t_max = float(np.max(times))
-    order = np.argsort(times, kind="stable")
-    m = times.size
-    out = np.empty((int(n_paths), m))
-    for start, amps, owner, flips in _blocks((a, 0.0, 0.0), float(tau), t_max, out.shape[0], seed):
-        size = amps.shape[0]
-        # flips <= t per path: bin each flip at the first sorted time it
-        # does not exceed, then accumulate along the sorted times
-        first = np.searchsorted(times[order], flips, side="left")
-        hist = np.bincount(owner // 3 * (m + 1) + first, minlength=size * (m + 1))
-        parity = np.cumsum(hist.reshape(size, m + 1)[:, :m], axis=1) % 2
-        out[start : start + size, order] = np.where(parity == 0, amps[:, :1], -amps[:, :1])
-    return out

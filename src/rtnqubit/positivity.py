@@ -102,8 +102,6 @@ _C_STAR = 0.7058598262632272
 # Most stencil steps a tangency solve takes before the boundary search
 # bisects instead.
 _TANGENCY_STEPS = 8
-# Signs (s, t) of each xi row in 4 xi = (1 + s l3) + t (l1 + s l2), by row.
-_ROW_SIGNS = ((-1.0, -1.0, 1.0, 1.0), (1.0, -1.0, -1.0, 1.0))
 # Bound on a grid cell over its nominal step, for the rounding of the grid.
 _STEP_SLACK = 1.0 + 1e-6
 
@@ -319,22 +317,12 @@ def _dip_scan(plan: tuple, dip: float, nus: np.ndarray) -> tuple[float, int, flo
 def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
     # Rescan each bracket [lo, hi] of xi row r, then the two cells around
     # its lowest point, while its hidden dip could lower the running minimum
-    # worst = (value, j, nu); returns the final worst.  Each bracket's row
-    # alone is combined, with _combine's grouping and bits:
-    # 4 xi = (1 + s l3) + t (l1 + s l2), s = -1 for rows 0 and 1, t = -1
-    # for rows 1 and 2, sign flips being exact.
+    # worst = (value, j, nu); returns the final worst.
     worst_val = worst[0]
     while r.size:
         n = max(_REFINE_POINTS, _REFINE_POINTS_FEW // r.size)
         pts, step = _rescan_points(lo, hi, n)
-        profiles = telegraph._profiles(pts, plan)
-        signs = np.array(_ROW_SIGNS)[:, r, None]
-        profiles[1:] *= signs[0]
-        vals = profiles[2] + 1.0
-        pair = profiles[0] + profiles[1]
-        pair *= signs[1]
-        vals += pair
-        vals *= 0.25
+        vals = _combine(telegraph._profiles(pts, plan))[r, np.arange(r.size)]
         m = vals.argmin(axis=1)
         low = vals.min(axis=1)
         b = low.argmin()
@@ -538,15 +526,14 @@ def markov_cp_check(gammas) -> bool:
     """Triangle conditions gamma_i <= gamma_j + gamma_k on white-noise rates.
 
     Rates produced by :func:`rtnqubit.telegraph.markov_rates` satisfy them
-    identically (gamma_j + gamma_k - gamma_i = 8 a_i^2 tau >= 0); a small
-    relative slack absorbs roundoff in that borderline equality case.
+    identically (gamma_j + gamma_k - gamma_i = 8 a_i^2 tau >= 0); a slack
+    of 1e-12 times the largest rate absorbs roundoff in that borderline
+    equality case.  The sums are Python floats, so a sum past the largest
+    float is inf, which bounds any finite rate.
     """
     g = np.asarray(gammas, dtype=float)
     if g.shape != (3,) or not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("expected three finite nonnegative rates")
-    slack = 1e-12 * float(np.sum(g))
-    return bool(
-        g[0] <= g[1] + g[2] + slack
-        and g[1] <= g[2] + g[0] + slack
-        and g[2] <= g[0] + g[1] + slack
-    )
+    g1, g2, g3 = g.tolist()
+    slack = 1e-12 * max(g1, g2, g3)
+    return g1 <= g2 + g3 + slack and g2 <= g3 + g1 + slack and g3 <= g1 + g2 + slack

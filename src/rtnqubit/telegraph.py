@@ -28,7 +28,8 @@ branch's envelope bound on |Lambda|, the one derivation the CP scan's
 horizon, grid and mu* test read.
 
 In the white-noise limit (tau -> 0 with 2 a^2 tau fixed) each component
-decays as exp(-gamma_i t) with gamma_i = 4 kappa_i^2 tau.
+decays as exp(-gamma_i t), with the rates gamma_i = 4 kappa_i^2 tau of
+:func:`markov_rates`.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ __all__ = [
     "relaxation_profile",
     "relaxation_profiles",
     "propagate",
-    "propagate_time",
-    "markov_propagate",
     "markov_rates",
 ]
 
@@ -394,24 +393,7 @@ def propagate(rho0, nu: float, params: ModelParams) -> np.ndarray:
     return linalg.bloch_to_density(relaxation_profiles(float(nu), params) * b)
 
 
-def propagate_time(rho0, t: float, params: ModelParams) -> np.ndarray:
-    """Same as :func:`propagate` but takes physical time t."""
-    return propagate(rho0, float(t) / (2.0 * params.tau), params)
-
-
 def markov_rates(params: ModelParams) -> np.ndarray:
     """White-noise-limit decay rates gamma_i = 4 kappa_i^2 tau."""
     k = params.kappas
     return 4.0 * k * k * params.tau
-
-
-def markov_propagate(rho0, t: float, params: ModelParams) -> np.ndarray:
-    """Evolve under the white-noise (memoryless) limit of the model.
-
-    Bloch components decay as exp(-gamma_i t) with gamma_i = 4 kappa_i^2
-    tau; this is the limit tau -> 0 at fixed 2 a_i^2 tau of the full model.
-    """
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be >= 0 and finite")
-    b = linalg.density_to_bloch(rho0)
-    return linalg.bloch_to_density(np.exp(-markov_rates(params) * float(t)) * b)

@@ -29,11 +29,12 @@ from rtnqubit import (
     propagate,
     relaxation_profile,
     relaxation_profiles,
-    signal_samples,
     solve_volterra,
     xi,
 )
 from rtnqubit import montecarlo
+
+from helpers import signal_samples
 
 
 def report(index, name, passed, detail):

@@ -428,6 +428,10 @@ class TestConfigAndOutput:
             # a mean flip count of 1e300 per axis is past what the sampler draws
             (["mc-validate", "--nu-max", "1e300", "--trajectories", "1"], UNDRAWABLE),
             (["mc-validate", "--nu-max", "1e300", "--trajectories", "2"], UNDRAWABLE),
+            # a zero or overflowing quadrature horizon t_max = 2 tau nu_max
+            (["volterra-check", "--nu-max", "0"], "finite positive horizon 2 tau nu-max"),
+            (["volterra-check", "--nu-max", "1e308"], "finite positive horizon 2 tau nu-max"),
+            (["volterra-check", "--nu-max", "1e300", "--tau", "1e10"], "finite positive horizon"),
         ],
     )
     def test_non_finite_values_usage_error(self, capsys, argv, message):

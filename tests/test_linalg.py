@@ -5,13 +5,13 @@ import pytest
 
 from rtnqubit import (
     NotAStateError,
-    bell_projector,
     bloch_to_density,
     density_to_bloch,
     hermitian_eigenvalues,
-    is_density_matrix,
     pauli,
 )
+
+from helpers import bell_projector
 
 RNG = np.random.default_rng(1234)
 
@@ -201,24 +201,3 @@ class TestHermitianEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.zeros((2, 3)))
-
-
-class TestIsDensityMatrix:
-    def test_accepts_states(self):
-        for _ in range(20):
-            assert is_density_matrix(bloch_to_density(random_bloch(RNG)))
-
-    def test_rejects_traceless(self):
-        assert not is_density_matrix(pauli(3))
-
-    def test_rejects_negative(self):
-        assert not is_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_rejects_non_hermitian(self):
-        assert not is_density_matrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
-
-    @pytest.mark.parametrize("entry", [(0, 1), (0, 0)])
-    def test_rejects_nan_entry(self, entry):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        rho[entry] = math.nan
-        assert not is_density_matrix(rho)

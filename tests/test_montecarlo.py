@@ -13,10 +13,11 @@ from rtnqubit import (
     evolve_trajectory,
     relaxation_profiles,
     sample_path,
-    signal_samples,
     trajectory_rng,
 )
 from rtnqubit import montecarlo
+
+from helpers import signal_samples
 
 RNG = np.random.default_rng(31415)
 
@@ -278,13 +279,6 @@ class TestTelegraphPath:
         path = sample_path(1.0, 1.0, 5.0, trajectory_rng(2, 0))
         with pytest.raises(ValueError):
             path.values([1.0, math.nan])
-        with pytest.raises(ValueError, match="times"):
-            signal_samples(1.0, 1.0, [0.0, math.nan], 3, seed=0)
-
-    @pytest.mark.parametrize("times", [[], [math.inf], [0.0, -math.inf], [2.0, -1.0]])
-    def test_signal_samples_rejects_bad_times(self, times):
-        with pytest.raises(ValueError, match="times must be non-empty, finite and >= 0"):
-            signal_samples(1.0, 1.0, times, 3, seed=0)
 
     def test_flip_count_statistics(self):
         # Poisson with mean t_max / (2 tau)

@@ -24,11 +24,10 @@ def test_public_names():
         "__version__",
         # linalg
         "NotAStateError", "pauli", "bloch_to_density", "density_to_bloch",
-        "hermitian_eigenvalues", "bell_projector", "is_density_matrix",
+        "hermitian_eigenvalues",
         # telegraph
         "ModelParams", "Regime", "damping_spectrum", "classify_regime",
-        "relaxation_profile", "relaxation_profiles", "propagate", "propagate_time",
-        "markov_propagate", "markov_rates",
+        "relaxation_profile", "relaxation_profiles", "propagate", "markov_rates",
         # kernels
         "ExponentialKernel", "SampledKernel", "ScalarEvolution", "NumericalBlowupError",
         "exponential_kernel_poles", "solve_volterra",
@@ -41,9 +40,9 @@ def test_public_names():
         "dephasing_steady_state",
         # montecarlo
         "TelegraphPath", "EnsembleResult", "sample_path", "evolve_trajectory",
-        "ensemble_average", "signal_samples", "trajectory_rng",
+        "ensemble_average", "trajectory_rng",
     }
-    assert len(rtnqubit.__all__) == len(expected) == 47
+    assert len(rtnqubit.__all__) == len(expected) == 42
     assert set(rtnqubit.__all__) == expected
     assert all(hasattr(rtnqubit, name) for name in expected)
     assert not hasattr(rtnqubit, "KRAUS_CLAMP")

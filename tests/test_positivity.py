@@ -11,7 +11,6 @@ from rtnqubit import (
     MU_STAR_BOUND,
     ModelParams,
     Regime,
-    bell_projector,
     bloch_to_density,
     choi_matrix,
     classify_regime,
@@ -30,6 +29,8 @@ from rtnqubit import (
     xi,
 )
 from rtnqubit import positivity, telegraph
+
+from helpers import bell_projector
 
 RNG = np.random.default_rng(99)
 
@@ -1044,9 +1045,13 @@ class TestSufficientCondition:
 class TestMarkovCpCheck:
     def test_equilateral(self):
         assert markov_cp_check((1.0, 1.0, 1.0))
+        assert markov_cp_check((1.7e308, 1.7e308, 1.7e308))  # sums past the largest float
 
     def test_violated_triangle(self):
         assert not markov_cp_check((3.0, 1.0, 1.0))
+        # near the largest float the slack must not overflow into a pass
+        assert not markov_cp_check((1.7e308, 1e308, 0.0))
+        assert not markov_cp_check((0.0, 1.7e308, 1e308))
 
     def test_rates_from_model_always_pass(self):
         # gamma_j + gamma_k - gamma_i = 8 a_i^2 tau >= 0 identically

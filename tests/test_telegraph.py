@@ -15,11 +15,9 @@ from rtnqubit import (
     damping_spectrum,
     density_to_bloch,
     kraus_from_params,
-    markov_propagate,
     markov_rates,
     pauli,
     propagate,
-    propagate_time,
     relaxation_profile,
     relaxation_profiles,
     solve_volterra,
@@ -572,38 +570,12 @@ class TestPropagate:
                 expected = bloch_to_density(lams * density_to_bloch(rho))
                 assert np.array_equal(propagate(rho, nu, p), expected)
 
-    def test_physical_time_wrapper(self):
-        p = random_params(RNG)
-        rho = random_state(RNG)
-        t = 1.7
-        assert np.array_equal(
-            propagate_time(rho, t, p), propagate(rho, t / (2.0 * p.tau), p)
-        )
-
 
 class TestMarkovPropagate:
-    def test_identity_at_zero(self):
-        rho = random_state(RNG)
-        assert np.max(np.abs(markov_propagate(rho, 0.0, random_params(RNG)) - rho)) < 1e-15
-
     def test_dephasing_rates(self):
         p = ModelParams(a=(0.0, 0.0, 1.5), tau=0.3)
         expected = 4.0 * 1.5**2 * 0.3
         assert np.allclose(markov_rates(p), [expected, expected, 0.0], atol=0)
-
-    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
-    def test_rejects_negative_or_non_finite_t(self, t):
-        p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
-        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
-            markov_propagate(np.eye(2) / 2.0, t, p)
-
-    def test_rate_decay(self):
-        p = ModelParams(a=(0.0, 0.0, 1.5), tau=0.3)
-        b0 = np.array([0.6, 0.0, 0.5])
-        t = 0.9
-        out = density_to_bloch(markov_propagate(bloch_to_density(b0), t, p))
-        gamma = markov_rates(p)
-        assert np.allclose(out, b0 * np.exp(-gamma * t), atol=1e-15)
 
     def test_colored_noise_converges_to_markov(self):
         # fixed D = 2 a^2 tau, shrinking tau: the memory profile approaches

@@ -18,8 +18,10 @@ and compares the results bit for bit.  Groups:
 
 Per group it prints the case count, the number of cases that differ in any
 bit and the largest absolute difference of a numeric field (for ``cli``,
-the most output lines that differ in one case); it exits 1 when any case
-differs.  ``--quick`` runs a subset (``cp-scan`` and ``critical``
+the most output lines that differ in one case); ``boundary`` also prints
+its largest difference in units of the search's resolution
+delta = 1e-6 max(1, b), b the other tree's boundary.  It exits 1 when any
+case differs.  ``--quick`` runs a subset (``cp-scan`` and ``critical``
 only in ``cli``) in a few seconds.
 """
 
@@ -199,8 +201,17 @@ def largest_difference(a, b) -> float:
     return worst
 
 
-def compare(ours: dict, theirs: dict) -> list[tuple[str, int, int, float]]:
-    """(group, cases, cases that differ, largest difference) per group."""
+def in_deltas(ours: float, theirs: float) -> float:
+    """|ours - theirs| in units of delta = 1e-6 max(1, theirs)."""
+    if ours == theirs:
+        return 0.0
+    if not (math.isfinite(ours) and math.isfinite(theirs)):
+        return math.inf
+    return abs(ours - theirs) / (1e-6 * max(1.0, theirs))
+
+
+def compare(ours: dict, theirs: dict) -> list[tuple[str, str, bool]]:
+    """(group, its report line, whether any case differs) per group."""
     report = []
     for group in ("is_cp", "boundary", "cli"):
         a, b = ours[group], theirs[group]
@@ -208,7 +219,11 @@ def compare(ours: dict, theirs: dict) -> list[tuple[str, int, int, float]]:
             raise SystemExit(f"{group}: the two trees built different case sets")
         differ = [(x, y) for (_, x), (_, y) in zip(a, b) if json.dumps(x) != json.dumps(y)]
         worst = max((largest_difference(x, y) for x, y in differ), default=0.0)
-        report.append((group, len(a), len(differ), worst))
+        line = f"{len(a)} cases, {len(differ)} differ, largest difference {worst:.3g}"
+        if group == "boundary":
+            deltas = max((in_deltas(x[0], y[0]) for x, y in differ), default=0.0)
+            line += f" ({deltas:.3g} delta)"
+        report.append((group, line, bool(differ)))
     return report
 
 
@@ -224,9 +239,9 @@ def main(argv=None) -> int:
     if args.against is None:
         parser.error("--against is required")
     report = compare(run_tree(ROOT, args.quick), run_tree(args.against, args.quick))
-    for group, cases, differ, worst in report:
-        print(f"{group}: {cases} cases, {differ} differ, largest difference {worst:.3g}")
-    return 1 if any(differ for _, _, differ, _ in report) else 0
+    for group, line, _ in report:
+        print(f"{group}: {line}")
+    return 1 if any(differ for _, _, differ in report) else 0
 
 
 if __name__ == "__main__":
