@@ -16,20 +16,25 @@ positivity of the map therefore reduces to
 
 which this module decides by a finite scan: every profile obeys a
 decaying envelope, so past a computable horizon all xi_j stay positive.
-Before it, one vectorized pass refines the grid minima.  is_cp samples the
-grid only up to the first point past nu_e, where the envelopes of the
+Before it, one vectorized pass refines the grid minima.  Every scan has one
+entry, and a scan whose CP verdict ends its caller's question (every is_cp
+scan, and a boundary-search scan at b once hi <= b + delta, below) samples
+the grid only up to the first point past nu_e, where the envelopes of the
 evaluated profiles sum below 1 - 4 pad, pad being the largest hidden dip of
 a grid cell (below): 4 xi_j >= 1 - sum_i |Lambda_i|, so past nu_e every
-xi_j > pad, and no grid minimum there is rescanned or is negative.  The
-verdict, witness and horizon are therefore the whole grid's, at about half
-its points.  With one nonzero coupling is_cp scans nothing: two xi_j are
-exactly 0 and two are (1 -+ Lambda)/2 >= 0.  Since
+xi_j > pad, and no grid minimum there is rescanned or is negative.  Its
+verdict, and any negative witness, are therefore the whole grid's, at
+about half its points.  The boundary search's other scans sample the whole
+grid: the positive dip they track may lie past nu_e.  With one nonzero
+coupling is_cp scans nothing: two xi_j are exactly 0 and two are
+(1 -+ Lambda)/2 >= 0.  Since
 Lambda' = -16 (kappa tau)^2 int_0^nu exp(-2 (nu - s)) Lambda(s) ds and
 |Lambda| <= 1, |xi_j''| <= 8 sum_i (kappa_i tau)^2, so no dip deeper than
 sum_i (kappa_i tau)^2 w^2 below a sampled minimum hides in its two cells (w
 the wider one).  Brackets are rescanned only while such a dip, still above
 machine epsilon, could lower the witness.  A rescan samples a lone bracket
-at 201 points, so that it shrinks 100-fold per round, and many at 21 each.
+at 201 points, so that it shrinks 100-fold per round, and many at 21 each,
+and evaluates only each bracket's own xi row.
 The bound does not yet cover a dip away from a grid minimum, nor the nu = 0
 end of the scan.
 
@@ -105,6 +110,11 @@ _TANGENCY_STEPS = 8
 # Bound on a grid cell over its nominal step, for the rounding of the grid.
 _STEP_SLACK = 1.0 + 1e-6
 
+# (s_j, o_j) of each xi row j in _combine: the combination table above, with
+# 4 xi_j = (1 + s_j L3) + o_j (L1 + s_j L2); and the same as two columns.
+_XI_SIGNS = ((-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0))
+_XI_SIGN_COLUMNS = np.array(_XI_SIGNS).T
+
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
 # projector, stored flattened: row i holds the 16 entries of T_i.
@@ -123,19 +133,32 @@ def xi(nu, params: ModelParams) -> np.ndarray:
     return _combine(telegraph.relaxation_profiles(nu, params))
 
 
-def _combine(profiles: np.ndarray) -> np.ndarray:
-    # xi from the stacked profiles (Lambda_1, Lambda_2, Lambda_3).
-    l1, l2, l3 = profiles
-    out = np.empty((4,) + l1.shape)
-    # Grouped so that degenerate profiles cancel exactly: with a single
+def _combine(profiles: np.ndarray, rows=None) -> np.ndarray:
+    # xi from the stacked profiles (Lambda_1, Lambda_2, Lambda_3): every row,
+    # with rows an index array only xi row rows[k] along the profiles' next
+    # axis, and with rows an int only that row.  Row j is
+    #     4 xi_j = (1 + s_j L3) + o_j (L1 + s_j L2),  (s_j, o_j) = _XI_SIGNS[j],
+    # grouped so that degenerate profiles cancel exactly: with a single
     # coupling (dephasing) two profiles are bitwise equal and the third is
     # exactly 1, making xi_1 and xi_2 exact zeros rather than 1e-16 noise.
-    edge, pair = 1.0 - l3, l1 - l2
-    out[0] = edge + pair
-    out[1] = edge - pair
-    edge, pair = 1.0 + l3, l1 + l2
-    out[2] = edge - pair
-    out[3] = edge + pair
+    # Adding s L is subtracting L where s = -1, bit for bit, so both ways
+    # below give each value the same bits.
+    l1, l2, l3 = profiles
+    if rows is None:  # each half of the table shares its edge and pair
+        halves = (1.0 - l3, l1 - l2), (1.0 + l3, l1 + l2)
+        out = np.empty((4,) + l1.shape)
+        for j, (s, o) in enumerate(_XI_SIGNS):
+            edge, pair = halves[s > 0.0]
+            out[j] = edge + pair if o > 0.0 else edge - pair
+        out *= 0.25
+        return out
+    s, o = _XI_SIGNS[rows] if type(rows) is int else _XI_SIGN_COLUMNS[:, rows, None]
+    out = s * l3
+    out += 1.0
+    pair = s * l2
+    pair += l1
+    pair *= o
+    out += pair
     out *= 0.25
     return out
 
@@ -248,7 +271,8 @@ def _cp_end(plan: tuple, dip: float, horizon: float, osc_end: float, needed: flo
     the steps; inf where no such nu is derived or it lies past the horizon.
     """
     h = max(osc_end / (_dense_points(needed) - 1), (horizon - osc_end) / (_BASE_GRID_POINTS - 1))
-    end = telegraph._envelope_end(plan, 1.0 - 4.0 * dip * (h * _STEP_SLACK) ** 2 - 1e-9)
+    h *= _STEP_SLACK  # squared as a product: a float ** 2 raises past 1e154
+    end = telegraph._envelope_end(plan, 1.0 - 4.0 * dip * (h * h) - 1e-9)
     return end if end < horizon else math.inf
 
 
@@ -259,7 +283,9 @@ def _dip(params: ModelParams) -> float:
     return (k1 * k1 + k2 * k2) + k3 * k3
 
 
-def _scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float, float]:
+def _scan(
+    params: ModelParams, nu_max: float | None, cut: bool = False
+) -> tuple[float, int, float, float]:
     """The deepest dip of min_j xi on (0, horizon]: (value, j, nu, horizon).
 
     The horizon is nu_max, or :func:`scan_horizon`'s when nu_max is None.
@@ -271,26 +297,20 @@ def _scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float,
     exceeds the bracket's lowest value.  A negative bracket is therefore
     refined as far as the running minimum needs, and a positive one until
     the dip bound proves it positive, and no further.
+
+    With cut, for a caller whose question a CP verdict ends, the result is
+    the same wherever its value is negative, and otherwise only a value
+    >= 0: one nonzero coupling returns +inf with no scan (two xi_j are
+    exactly 0 and two are (1 -+ Lambda)/2 >= 0), and the grid is sampled
+    only through its first point at or past _cp_end.
     """
     plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
-    return (*_dip_scan(plan, _dip(params), _scan_grid(horizon, osc_end, needed)), horizon)
-
-
-def _cp_scan(params: ModelParams, nu_max: float | None) -> tuple[float, int, float, float]:
-    # is_cp's scan: _scan's result wherever that is negative, else a value
-    # >= 0.  One nonzero coupling is CP with no scan: two xi_j are exactly 0
-    # and two are (1 -+ Lambda)/2 >= 0.  Otherwise the grid ends at _cp_end.
-    plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
-    if sum(1 for a in params.a if a) == 1:
-        return math.inf, 0, 0.0, horizon
-    dip = _dip(params)
-    end = _cp_end(plan, dip, horizon, osc_end, needed)
-    return (*_dip_scan(plan, dip, _scan_grid(horizon, osc_end, needed, end)), horizon)
-
-
-def _dip_scan(plan: tuple, dip: float, nus: np.ndarray) -> tuple[float, int, float]:
-    # The scan body of _scan on the grid nus: the final running minimum
-    # (value, j, nu).
+    dip, end = _dip(params), math.inf
+    if cut:
+        if sum(1 for a in params.a if a) == 1:
+            return math.inf, 0, 0.0, horizon
+        end = _cp_end(plan, dip, horizon, osc_end, needed)
+    nus = _scan_grid(horizon, osc_end, needed, end)
     table = _combine(telegraph._profiles(nus, plan))
     inner = table[:, 1:-1]
     rows, cols = np.nonzero(inner < np.minimum(table[:, :-2], table[:, 2:]))
@@ -311,20 +331,21 @@ def _dip_scan(plan: tuple, dip: float, nus: np.ndarray) -> tuple[float, int, flo
     for start in range(0, rows.size, _REFINE_BATCH):
         batch = slice(start, start + _REFINE_BATCH)
         worst = _refine(plan, dip, worst, rows[batch], left[batch], right[batch])
-    return worst
+    return (*worst, horizon)
 
 
 def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
     # Rescan each bracket [lo, hi] of xi row r, then the two cells around
     # its lowest point, while its hidden dip could lower the running minimum
-    # worst = (value, j, nu); returns the final worst.
+    # worst = (value, j, nu); returns the final worst.  A round evaluates
+    # only each bracket's own row; a lone bracket goes to _refine_one.
     worst_val = worst[0]
-    while r.size:
+    while r.size > 1:
         n = max(_REFINE_POINTS, _REFINE_POINTS_FEW // r.size)
         pts, step = _rescan_points(lo, hi, n)
-        vals = _combine(telegraph._profiles(pts, plan))[r, np.arange(r.size)]
+        vals = _combine(telegraph._profiles(pts, plan), r)
         m = vals.argmin(axis=1)
-        low = vals.min(axis=1)
+        low = vals[np.arange(r.size), m]
         b = low.argmin()
         if low[b] < worst_val:
             worst_val = float(low[b])
@@ -333,7 +354,33 @@ def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
         keep = ((low - hidden < worst_val) & (hidden > low) & (hidden > _EPS)).nonzero()[0]
         m = np.minimum(np.maximum(m[keep], 1), n - 2)
         r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
+    if r.size:
+        worst = _refine_one(plan, dip, worst, int(r[0]), float(lo[0]), float(hi[0]))
     return worst
+
+
+def _refine_one(plan: tuple, dip: float, worst: tuple, j: int, lo: float, hi: float) -> tuple:
+    # _refine's rounds for one bracket, at _REFINE_POINTS_FEW points each:
+    # the same points (those of _rescan_points), values and witness, with the
+    # bracket's ends, step and lowest value as floats, which cuts about 40 %
+    # of a round's cost; nearly every round of a scan has one bracket.
+    div = _REFINE_POINTS_FEW - 1
+    ticks = np.arange(float(_REFINE_POINTS_FEW))
+    while True:
+        step = (hi - lo) / div
+        pts = ticks * step if step else ticks / div * (hi - lo)
+        pts += lo
+        pts[-1] = hi
+        vals = _combine(telegraph._profiles(pts, plan), j)
+        m = int(vals.argmin())
+        low = float(vals[m])
+        if low < worst[0]:
+            worst = low, j, float(pts[m])
+        hidden = dip * (step * step)  # the bracket's cell is its step
+        if not (low - hidden < worst[0] and hidden > low and hidden > _EPS):
+            return worst
+        m = min(max(m, 1), div - 1)
+        lo, hi = float(pts[m - 1]), float(pts[m + 1])
 
 
 def _rescan_points(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +419,7 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     The default horizon comes from :func:`scan_horizon` and certifies the
     infinite-time statement; passing ``nu_max`` restricts the scan.
     """
-    value, j, nu, horizon = _cp_scan(params, nu_max)
+    value, j, nu, horizon = _scan(params, nu_max, True)
     witness = CpWitness(nu=nu, index=j + 1, value=value) if value < -CP_TOLERANCE else None
     return CpVerdict(is_cp=witness is None, witness=witness, horizon=horizon)
 
@@ -404,7 +451,7 @@ def _tangency(unit, s: float, j: int, nu: float) -> tuple[float, float, float] |
         rows = table(s - ha) + center + table(s + ha)
         grid = telegraph._profiles(np.array([nu - hn, nu, nu + hn]), telegraph._profile_plan(rows))
         # rows a*tau - ha, a*tau, a*tau + ha; columns nu - hn, nu, nu + hn
-        low, mid, high = _combine(grid.reshape(3, 3, 3).swapaxes(0, 1))[j].tolist()
+        low, mid, high = _combine(grid.reshape(3, 3, 3).swapaxes(0, 1), j).tolist()
         value = mid[1] + CP_TOLERANCE
         f_n = (mid[2] - mid[0]) / (2.0 * hn)
         f_nn = (mid[2] - 2.0 * mid[1] + mid[0]) / (hn * hn)
@@ -447,6 +494,11 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     nothing leaves the next scan to bisection, at (lo + hi)/2, or at 2 lo
     while hi is unknown.  The search returns lo once hi <= lo + delta, which
     the start alone reaches on far rays; measured searches take 1 to 3 scans.
+    A scan at b once hi <= b + delta(b), where CP ends the search (so the
+    scan at a tangency step), samples the grid only up to the envelope end
+    nu_e, as is_cp does: its verdict and any negative witness are the whole
+    grid's.  The other scans sample the whole grid, since the positive dip
+    the next solve tracks may lie past nu_e.
 
     None means one nonzero component (dephasing-type noise: no boundary, and
     no scan).  A start past the grid cap of _MAX_GRID_POINTS (kappa_min below
@@ -487,7 +539,8 @@ def critical_flip_parameter(shape, tau: float) -> float | None:
     # map: CP, with no interior dip), hi the smallest shown not CP.
     lo, hi = 0.0, math.inf
     while True:
-        value, j, nu, _ = _scan(at(b), None)
+        # a scan whose CP verdict would end the search may stop at _cp_end
+        value, j, nu, _ = _scan(at(b), None, hi <= b + 1e-6 * max(1.0, b))
         if value >= -CP_TOLERANCE:
             lo = b
         else:

@@ -440,6 +440,26 @@ class TestConfigAndOutput:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["cp-scan", "--a2", "0.5", "--nu-max", "1e200", "--steps", "2"], "completely"),
+            (["cp-scan", "--nu-max", "1e200", "--steps", "2"], "not completely"),
+            (["evolve", "--nu-max", "1e308", "--steps", "2"], None),
+        ],
+    )
+    def test_huge_finite_horizon_runs(self, capsys, argv, line):
+        # far past where exp(-nu) underflows every profile is 0, and the CP
+        # scan's grid step squares past the largest float, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and "nan" not in out
+        header, rows = parse_csv(out)
+        assert rows.shape == (3, len(header)) and np.all(rows[1:, 1:] == rows[1, 1:])
+        if line:
+            assert f"# verdict: {line}" in out
+
     def test_unknown_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "evolve", "--frobnicate", "1")
         assert code == 2

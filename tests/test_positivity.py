@@ -74,7 +74,7 @@ def count_evaluations(monkeypatch):
 
 
 def count_scans(monkeypatch):
-    """Record the arguments of every full CP scan."""
+    """Record the arguments of every CP scan."""
     calls = []
 
     def counting_scan(*args):
@@ -86,25 +86,27 @@ def count_scans(monkeypatch):
     return calls
 
 
-def reference_refine(params, dip, worst, r, lo, hi):
-    """The 21-point np.linspace refinement of xi rows, frozen as reference."""
+def reference_refine(params, dip, worst, r, lo, hi, few=21):
+    """The np.linspace refinement of xi rows, frozen as reference: a round
+    of k brackets at max(21, few // k) points, 21 each by default."""
     worst_val, worst_j, worst_nu = worst
     while r.size:
-        pts, k = np.linspace(lo, hi, 21, axis=1), np.arange(r.size)
+        n = max(21, few // r.size)
+        pts, k = np.linspace(lo, hi, n, axis=1), np.arange(r.size)
         vals = xi(pts, params)[r, k]
         m = np.argmin(vals, axis=1)
         low = vals[k, m]
         b = int(np.argmin(low))
         if low[b] < worst_val:
             worst_val, worst_j, worst_nu = float(low[b]), int(r[b]), float(pts[b, m[b]])
-        hidden = dip * ((hi - lo) / 20) ** 2
+        hidden = dip * ((hi - lo) / (n - 1)) ** 2
         keep = np.nonzero((low - hidden < worst_val) & (hidden > low) & (hidden > positivity._EPS))[0]
-        m = np.clip(m[keep], 1, 19)
+        m = np.clip(m[keep], 1, n - 2)
         r, lo, hi = r[keep], pts[keep, m - 1], pts[keep, m + 1]
     return worst_val, worst_j, worst_nu
 
 
-def reference_scan(params, horizon):
+def reference_scan(params, horizon, few=21):
     """positivity._scan with the frozen refinement, 4096 brackets a batch."""
     nus = positivity._scan_grid(*positivity._bounds(params, horizon)[2:])
     table = xi(nus, params)
@@ -125,7 +127,7 @@ def reference_scan(params, horizon):
     rows, cols = rows[keep], cols[keep]
     for start in range(0, rows.size, 4096):
         r, c = rows[start : start + 4096], cols[start : start + 4096]
-        worst = reference_refine(params, dip, worst, r, nus[c], nus[c + 2])
+        worst = reference_refine(params, dip, worst, r, nus[c], nus[c + 2], few)
     return worst
 
 
@@ -314,6 +316,22 @@ class TestXi:
         p = random_params(RNG)
         out = xi(np.linspace(0.0, 3.0, 17), p)
         assert out.shape == (4, 17)
+
+    def test_one_row_keeps_the_bits(self):
+        # a row per bracket (the refinement) and one row of a stencil (the
+        # tangency solve) against the full table, signed zeros included
+        rng = np.random.default_rng(54)
+        nus = rng.uniform(0.0, 6.0, (6, 21))
+        nus[1, 0] = 0.0
+        for p in bitwise_cases():
+            profiles = relaxation_profiles(nus, p)
+            table = positivity._combine(profiles)
+            rows = rng.integers(0, 4, 6)
+            rows[:4] = range(4)
+            got = positivity._combine(profiles, rows)
+            assert got.tobytes() == table[rows, np.arange(6)].tobytes(), p
+            for j in range(4):
+                assert positivity._combine(profiles, j).tobytes() == table[j].tobytes(), (p, j)
 
 
 class TestChoiMatrix:
@@ -607,6 +625,26 @@ class TestRefinement:
                 got = positivity._refine(plan, dip, start, r, lo, hi)
                 assert got == reference_refine(params, dip, start, r, lo, hi)
 
+    def test_rounds_bit_exact_as_reference(self):
+        # at the real point counts, 201 for a lone bracket (the float rounds
+        # of _refine_one) and max(21, 201 // k) for k brackets
+        for params, horizon in reference_cases():
+            got = positivity._scan(params, horizon)
+            assert got == (*reference_scan(params, horizon, 201), horizon), (params, horizon)
+        rng = np.random.default_rng(55)
+        for params, r, lo, hi in edge_brackets():
+            plan = telegraph._profile_plan(params._components)
+            dip = float(np.sum(params.kappa_taus**2))
+            brackets = [(r, lo, hi)] + [(r[[k]], lo[[k]], hi[[k]]) for k in range(r.size)]
+            for _ in range(20):  # lone brackets of every row, some of zero or subnormal width
+                start = np.array([rng.uniform(0.0, 5.0)])
+                width = rng.choice([0.0, 5e-324, 1e-3, 0.05])
+                brackets.append((rng.integers(0, 4, 1), start, start + width))
+            for rows, lows, highs in brackets:
+                for start in ((math.inf, 0, 0.0), (-0.01, 0, 0.0)):
+                    got = positivity._refine(plan, dip, start, rows, lows, highs)
+                    assert got == reference_refine(params, dip, start, rows, lows, highs, 201)
+
     @pytest.mark.parametrize("n", [2, 21, 40, 201])
     def test_rescan_points_are_linspace(self, n):
         # including a batch with a zero step and one whose step underflows
@@ -755,6 +793,78 @@ class TestCpCut:
                 assert verdict.witness == positivity.CpWitness(nu=nu, index=j + 1, value=value)
 
 
+    def test_huge_horizon_squares_the_step_as_a_product(self):
+        # the grid step of a horizon of 1e200 squares past the largest
+        # float: no end, the whole grid, and no OverflowError
+        params = ModelParams(a=(1.0, 0.5, 0.0), tau=1.0)
+        plan, _, horizon, osc_end, needed = positivity._bounds(params, 1e200)
+        dip = positivity._dip(params)
+        assert positivity._cp_end(plan, dip, horizon, osc_end, needed) == math.inf
+        assert is_cp(params, nu_max=1e200) == positivity.CpVerdict(True, None, 1e200)
+
+
+def cut_rays():
+    """(1, 1, 0), (1, 0.54, 0) and 20 seeded cp_map-like directions."""
+    rng = np.random.default_rng(1618)
+    shapes = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.54, 0.0])]
+    for k in range(20):
+        shape = np.concatenate([[1.0], rng.uniform(0.3, 1.0, 2)])
+        if k % 2:
+            shape[2] = 0.0
+        shapes.append(shape[rng.permutation(3)])
+    return shapes
+
+
+class TestSearchCut:
+    """A boundary scan whose CP verdict would end the search samples the
+    grid only up to the envelope end, and changes nothing by it."""
+
+    def test_certifying_scans_stop_at_the_envelope_end(self, monkeypatch):
+        # the first scan, whose positive dip the tangency solve tracks, is
+        # whole; every scan once hi <= b + delta is cut where nu_e < horizon
+        evaluations = count_evaluations(monkeypatch)
+        scans = []
+
+        def recording_scan(params, nu_max, cut=False):
+            first = len(evaluations)
+            found = scan(params, nu_max, cut)
+            scans.append((params, cut, evaluations[first].size))
+            return found
+
+        scan = positivity._scan
+        monkeypatch.setattr(positivity, "_scan", recording_scan)
+        shorter = 0
+        for shape in cut_rays():
+            scans.clear()
+            critical_flip_parameter(shape, 1.0)
+            assert not scans[0][1] and scans[-1][1], shape
+            for params, cut, points in scans:
+                plan, _, horizon, osc_end, needed = positivity._bounds(params)
+                whole = positivity._scan_grid(horizon, osc_end, needed).size
+                end = positivity._cp_end(plan, positivity._dip(params), horizon, osc_end, needed)
+                if cut and end < horizon:
+                    assert points < whole, shape
+                    shorter += 1
+                else:
+                    assert points == whole, shape
+        assert shorter >= len(cut_rays())
+
+    def test_cut_keeps_boundaries_and_scan_counts(self, monkeypatch):
+        # the same searches with every scan sampled whole
+        calls = count_scans(monkeypatch)
+
+        def searches():
+            found = []
+            for shape in cut_rays():
+                calls.clear()
+                found.append((critical_flip_parameter(shape, 1.0), len(calls)))
+            return found
+
+        cut = searches()
+        monkeypatch.setattr(positivity, "_cp_end", lambda *args: math.inf)
+        assert searches() == cut
+
+
 class TestCriticalFlipParameter:
     def test_boundary_with_weak_second_axis(self):
         # the boundary's violating dip falls between grid points
@@ -775,9 +885,9 @@ class TestCriticalFlipParameter:
         # the search starts where the smallest kappa_i tau equals c*
         scanned = []
 
-        def recording_scan(params, horizon):
+        def recording_scan(params, *args):
             scanned.append(params)
-            return scan(params, horizon)
+            return scan(params, *args)
 
         scan = positivity._scan
         monkeypatch.setattr(positivity, "_scan", recording_scan)
@@ -909,8 +1019,8 @@ class TestCriticalFlipParameter:
         # brackets b to delta (21 to 22 scans).
         verdicts, steps = [], []
 
-        def recording_scan(params, horizon):
-            found = scan(params, horizon)
+        def recording_scan(*args):
+            found = scan(*args)
             verdicts.append(found[0] >= -CP_TOLERANCE)
             return found
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,31 @@ class TestRelaxationProfile:
     def test_overdamped_no_overflow_at_large_nu(self):
         val = relaxation_profile(5000.0, 0.01)
         assert np.isfinite(val) and 0.0 <= val < 1.0
+
+    @pytest.mark.parametrize("nu, kt", [(1e300, 0.25), (5e307, 1.0)])
+    def test_zero_where_the_decay_underflows(self, nu, kt):
+        # the series' nu^2 and the ringing phase mu nu overflow, but
+        # exp(-nu) is 0 there, and so is the profile, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relaxation_profile(nu, kt) == 0.0
+            assert relaxation_profile(np.array([nu, 1.0]), kt)[0] == 0.0
+
+    def test_values_past_the_underflow_keep_their_bits(self):
+        # only the values that were nan change (to 0); the others, signed
+        # zeros included, keep the per-component reference's bits
+        nus = np.array([0.0, 0.37, 9.5, 700.0, 746.0, 1e3, 1e5, 1e105, 1e154, 1e300, 5e307])
+        nus = np.append(nus, 1.7e308)
+        lost = 0
+        for kt in (0.25 * (1.0 - 1e-7), 0.25, 0.25 * (1.0 + 1e-7), 0.3, 1.0, 1e6):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = profile_reference(nus, kt)
+            got = relaxation_profile(nus, kt)
+            nan = np.isnan(expected)
+            assert got[~nan].tobytes() == expected[~nan].tobytes(), kt
+            assert np.all(got[nan] == 0.0) and not np.any(np.signbit(got[nan])), kt
+            lost += int(nan.sum())
+        assert lost >= 10
 
     def test_rejects_negative_nu(self):
         p = ModelParams(a=(0.4, 0.3, 1.2), tau=0.7)

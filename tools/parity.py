@@ -14,15 +14,22 @@ and compares the results bit for bit.  Groups:
   each makes, on cp_map-like, weak-axis and fixed directions;
 * ``cli``: stdout, stderr and exit code of every command at its defaults
   (``critical`` with ``--direction 1,1,0``), of the README examples and of
-  a few more ``cp-scan`` and ``critical`` calls.
+  a few more ``cp-scan`` and ``critical`` calls;
+* ``profiles``: ``relaxation_profiles``, ``relaxation_profile``, ``xi``,
+  ``choi_matrix`` and ``propagate`` in every branch of the closed form and
+  on both sides of the critical series window, at scalar nu (float,
+  ``np.float64`` and 0-d array) and array nu, nu = 0, -0.0, 5e-324 and
+  1e300 among them.
 
 Per group it prints the case count, the number of cases that differ in any
 bit and the largest absolute difference of a numeric field (for ``cli``,
 the most output lines that differ in one case); ``boundary`` also prints
 its largest difference in units of the search's resolution
-delta = 1e-6 max(1, b), b the other tree's boundary.  It exits 1 when any
-case differs.  ``--quick`` runs a subset (``cp-scan`` and ``critical``
-only in ``cli``) in a few seconds.
+delta = 1e-6 max(1, b), b the other tree's boundary, and ``profiles`` how
+many of its differing cases differ only where the other tree has nan (or
+raised on meeting nan).  It exits 1 when any case differs.  ``--quick``
+runs a subset (``cp-scan`` and ``critical`` only in ``cli``) in a few
+seconds.
 """
 
 from __future__ import annotations
@@ -37,9 +44,11 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GROUPS = ("is_cp", "boundary", "cli", "profiles")
 LADDER = (0.1, 0.3, 1.0, 3.0, 10.0, 50.0)
 C_STAR = 0.7058598262632272
 
@@ -136,12 +145,88 @@ def ray_cases(quick: bool):
     return rays + [(np.array(d), 1.0) for d in fixed]
 
 
+# Values of nu, each taken as a float, an np.float64 and a 0-d array, and
+# all in one array: 0, -0.0 and the subnormal next to them, 1e3, where
+# exp(-nu) has underflowed, and 1e300, where the critical series' nu^2
+# overflows.
+PROFILE_NUS = (0.0, -0.0, 5e-324, 0.37, 9.5, 1e3, 1e300)
+
+
+def profile_cases(quick: bool):
+    """(params, nu label, nu) triples: couplings in every branch, 4 kappa tau
+    - 1 at +-1e-7 (the critical series) and +-2e-6 (the exact branches next
+    to it), kappa tau = 0, and seeded draws."""
+    import numpy as np
+    from rtnqubit import ModelParams
+
+    params = [ModelParams(a=(0.0, 0.0, 0.0), tau=1.0)]
+    for offset in (0.0, 1e-7, -1e-7, 2e-6, -2e-6):
+        kt = 0.25 * (1.0 + offset)
+        params += [ModelParams(a=(0.0, 0.0, kt), tau=1.0), ModelParams(a=(0.3, 0.0, kt), tau=1.0)]
+    params += [
+        ModelParams(a=(0.05, 0.1, 0.02), tau=1.3),  # damped
+        ModelParams(a=(2.0, 1.0, 0.5), tau=0.8),  # ringing
+        ModelParams(a=(0.3, 0.05, 1.1), tau=0.9),  # mixed
+        ModelParams(a=(1e6, 0.0, 0.0), tau=1.0),  # fast ringing
+    ]
+    rng = np.random.default_rng(5)
+    params += [
+        ModelParams(a=tuple(rng.uniform(0.0, scale, 3)), tau=float(rng.uniform(0.1, 2.0)))
+        for scale in (0.2, 3.0)
+        for _ in range(1 if quick else 10)
+    ]
+    nus = []
+    for nu in PROFILE_NUS:
+        nus += [(f"{nu!r}", nu), (f"float64 {nu!r}", np.float64(nu)), (f"0-d {nu!r}", np.array(nu))]
+    nus += [("array", np.array(PROFILE_NUS)), ("linspace", np.linspace(0.0, 30.0, 61))]
+    return [(p, label, nu) for p in params for label, nu in nus]
+
+
+def profile_results(quick: bool):
+    """[case, flat values] of each profile-layer call, complex values as
+    their real parts, then their imaginary parts."""
+    import numpy as np
+    from rtnqubit import (
+        bloch_to_density,
+        choi_matrix,
+        propagate,
+        relaxation_profile,
+        relaxation_profiles,
+        xi,
+    )
+
+    def flat(func, *args):
+        try:
+            values = np.asarray(func(*args))
+        except ValueError as exc:  # a state check that meets nan raises
+            return [f"{type(exc).__name__}: {exc}"]
+        if np.iscomplexobj(values):
+            values = np.stack([values.real, values.imag])
+        return values.ravel().tolist()
+
+    rho = bloch_to_density([0.3, -0.4, 0.5])
+    out = []
+    for p, label, nu in profile_cases(quick):
+        case = f"{p.a} tau={p.tau} nu={label}"
+        out.append([f"relaxation_profiles {case}", flat(relaxation_profiles, nu, p)])
+        out.append([f"xi {case}", flat(xi, nu, p)])
+        for i, kt in enumerate(p.kappa_taus.tolist()):
+            out.append([f"relaxation_profile {i} {case}", flat(relaxation_profile, nu, kt)])
+        if np.ndim(nu) == 0:
+            out.append([f"choi_matrix {case}", flat(choi_matrix, p, nu)])
+            out.append([f"propagate {case}", flat(propagate, rho, nu, p)])
+    return out
+
+
 def emit(quick: bool) -> dict:
     """Every group's results in this process's rtnqubit, as JSON-ready lists."""
     import rtnqubit
     from rtnqubit import cli, positivity
 
     out = {"source": rtnqubit.__file__, "is_cp": [], "boundary": [], "cli": []}
+    with warnings.catch_warnings():  # a tree may warn where it overflows
+        warnings.simplefilter("ignore")
+        out["profiles"] = profile_results(quick)
     for params, cut in is_cp_cases(quick):
         v = positivity.is_cp(params, nu_max=cut)
         w = v.witness
@@ -210,10 +295,17 @@ def in_deltas(ours: float, theirs: float) -> float:
     return abs(ours - theirs) / (1e-6 * max(1.0, theirs))
 
 
+def nan_like(value) -> bool:
+    """A nan value, or an error its check raised on meeting nan."""
+    if isinstance(value, str):
+        return value.endswith("nan")
+    return isinstance(value, float) and math.isnan(value)
+
+
 def compare(ours: dict, theirs: dict) -> list[tuple[str, str, bool]]:
     """(group, its report line, whether any case differs) per group."""
     report = []
-    for group in ("is_cp", "boundary", "cli"):
+    for group in GROUPS:
         a, b = ours[group], theirs[group]
         if [case for case, _ in a] != [case for case, _ in b]:
             raise SystemExit(f"{group}: the two trees built different case sets")
@@ -223,6 +315,9 @@ def compare(ours: dict, theirs: dict) -> list[tuple[str, str, bool]]:
         if group == "boundary":
             deltas = max((in_deltas(x[0], y[0]) for x, y in differ), default=0.0)
             line += f" ({deltas:.3g} delta)"
+        if group == "profiles":
+            at_nan = sum(all(u == v or nan_like(v) for u, v in zip(x, y)) for x, y in differ)
+            line += f" ({at_nan} only where the other tree has nan)"
         report.append((group, line, bool(differ)))
     return report
 
