@@ -110,10 +110,9 @@ _TANGENCY_STEPS = 8
 # Bound on a grid cell over its nominal step, for the rounding of the grid.
 _STEP_SLACK = 1.0 + 1e-6
 
-# (s_j, o_j) of each xi row j in _combine: the combination table above, with
-# 4 xi_j = (1 + s_j L3) + o_j (L1 + s_j L2); and the same as two columns.
-_XI_SIGNS = ((-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0))
-_XI_SIGN_COLUMNS = np.array(_XI_SIGNS).T
+# (s_j, o_j) of each xi row j, as two columns: the combination table above,
+# with 4 xi_j = (1 + s_j L3) + o_j (L1 + s_j L2), for _combine's row form.
+_XI_SIGNS = np.array(((-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0))).T
 
 # With Lambda_0 = 1, the Choi matrix is sum_i Lambda_i T_i where
 # T_i = sigma_i (x) conj(sigma_i) / 4 is the Pauli tensor of the Bell
@@ -135,24 +134,24 @@ def xi(nu, params: ModelParams) -> np.ndarray:
 
 def _combine(profiles: np.ndarray, rows=None) -> np.ndarray:
     # xi from the stacked profiles (Lambda_1, Lambda_2, Lambda_3): every row,
-    # with rows an index array only xi row rows[k] along the profiles' next
-    # axis, and with rows an int only that row.  Row j is
-    #     4 xi_j = (1 + s_j L3) + o_j (L1 + s_j L2),  (s_j, o_j) = _XI_SIGNS[j],
-    # grouped so that degenerate profiles cancel exactly: with a single
-    # coupling (dephasing) two profiles are bitwise equal and the third is
-    # exactly 1, making xi_1 and xi_2 exact zeros rather than 1e-16 noise.
-    # Adding s L is subtracting L where s = -1, bit for bit, so both ways
-    # below give each value the same bits.
+    # or with rows (an index array, or an int) only xi row rows[k] along the
+    # profiles' next axis.  Grouped so that degenerate profiles cancel
+    # exactly: with a single coupling (dephasing) two profiles are bitwise
+    # equal and the third is exactly 1, making xi_1 and xi_2 exact zeros
+    # rather than 1e-16 noise.  The row form adds s L where the table
+    # subtracts L (s = -1), which gives each value the same bits.
     l1, l2, l3 = profiles
-    if rows is None:  # each half of the table shares its edge and pair
-        halves = (1.0 - l3, l1 - l2), (1.0 + l3, l1 + l2)
+    if rows is None:
         out = np.empty((4,) + l1.shape)
-        for j, (s, o) in enumerate(_XI_SIGNS):
-            edge, pair = halves[s > 0.0]
-            out[j] = edge + pair if o > 0.0 else edge - pair
+        edge, pair = 1.0 - l3, l1 - l2
+        out[0] = edge + pair
+        out[1] = edge - pair
+        edge, pair = 1.0 + l3, l1 + l2
+        out[2] = edge - pair
+        out[3] = edge + pair
         out *= 0.25
         return out
-    s, o = _XI_SIGNS[rows] if type(rows) is int else _XI_SIGN_COLUMNS[:, rows, None]
+    s, o = _XI_SIGNS[:, rows, None]
     out = s * l3
     out += 1.0
     pair = s * l2
@@ -283,9 +282,7 @@ def _dip(params: ModelParams) -> float:
     return (k1 * k1 + k2 * k2) + k3 * k3
 
 
-def _scan(
-    params: ModelParams, nu_max: float | None, cut: bool = False
-) -> tuple[float, int, float, float]:
+def _scan(params: ModelParams, nu_max: float | None, cut: bool) -> tuple[float, int, float, float]:
     """The deepest dip of min_j xi on (0, horizon]: (value, j, nu, horizon).
 
     The horizon is nu_max, or :func:`scan_horizon`'s when nu_max is None.
@@ -298,18 +295,14 @@ def _scan(
     refined as far as the running minimum needs, and a positive one until
     the dip bound proves it positive, and no further.
 
-    With cut, for a caller whose question a CP verdict ends, the result is
+    With cut, for a caller whose question a CP verdict ends, the grid is
+    sampled only through its first point at or past _cp_end: the result is
     the same wherever its value is negative, and otherwise only a value
-    >= 0: one nonzero coupling returns +inf with no scan (two xi_j are
-    exactly 0 and two are (1 -+ Lambda)/2 >= 0), and the grid is sampled
-    only through its first point at or past _cp_end.
+    >= 0.
     """
     plan, _, horizon, osc_end, needed = _bounds(params, nu_max)
-    dip, end = _dip(params), math.inf
-    if cut:
-        if sum(1 for a in params.a if a) == 1:
-            return math.inf, 0, 0.0, horizon
-        end = _cp_end(plan, dip, horizon, osc_end, needed)
+    dip = _dip(params)
+    end = _cp_end(plan, dip, horizon, osc_end, needed) if cut else math.inf
     nus = _scan_grid(horizon, osc_end, needed, end)
     table = _combine(telegraph._profiles(nus, plan))
     inner = table[:, 1:-1]
@@ -360,10 +353,9 @@ def _refine(plan: tuple, dip: float, worst: tuple, r, lo, hi) -> tuple:
 
 
 def _refine_one(plan: tuple, dip: float, worst: tuple, j: int, lo: float, hi: float) -> tuple:
-    # _refine's rounds for one bracket, at _REFINE_POINTS_FEW points each:
-    # the same points (those of _rescan_points), values and witness, with the
-    # bracket's ends, step and lowest value as floats, which cuts about 40 %
-    # of a round's cost; nearly every round of a scan has one bracket.
+    # _refine's rounds for one bracket, on floats: the same points (those of
+    # _rescan_points), values and witness, at a third of the array calls of
+    # a round of _refine; nearly every round of a scan has one bracket.
     div = _REFINE_POINTS_FEW - 1
     ticks = np.arange(float(_REFINE_POINTS_FEW))
     while True:
@@ -419,6 +411,9 @@ def is_cp(params: ModelParams, nu_max: float | None = None) -> CpVerdict:
     The default horizon comes from :func:`scan_horizon` and certifies the
     infinite-time statement; passing ``nu_max`` restricts the scan.
     """
+    if sum(1 for a in params.a if a) == 1:
+        # two xi_j are exactly 0 and two are (1 -+ Lambda)/2 >= 0
+        return CpVerdict(is_cp=True, witness=None, horizon=_bounds(params, nu_max)[2])
     value, j, nu, horizon = _scan(params, nu_max, True)
     witness = CpWitness(nu=nu, index=j + 1, value=value) if value < -CP_TOLERANCE else None
     return CpVerdict(is_cp=witness is None, witness=witness, horizon=horizon)

@@ -308,27 +308,26 @@ def _profiles(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
     # included).  Past nu ~ 745 e^-nu underflows to 0, and the series and
     # ringing profiles with it, but their other factors overflow further out
     # (the series' nu^2 past 1e154, the phase mu nu past 1e308 / mu), where
-    # 0 * inf is nan: there the value is 0, found with no overflow warning.
-    decay = None
-    if plan[1] or plan[2]:
-        decay = np.exp(-nu_arr)
-        # the least e^-nu is read at its argmin, the cheapest reduction
-        if nu_arr.size and not (decay.take(decay.argmin()) if nu_arr.ndim else decay):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _closed_forms(nu_arr, plan, decay)
-            out[np.isnan(out)] = 0.0
-            return out
-    return _closed_forms(nu_arr, plan, decay)
+    # 0 * inf is nan, and so does the damped fast exponent (past 9e307, to
+    # -inf, whose exp is the right 0): past nu = 700 the values are found
+    # with no overflow warning, and a nan is 0.
+    if nu_arr.size and (nu_arr.max() if nu_arr.ndim else nu_arr.item()) > 700.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _closed_forms(nu_arr, plan)
+        out[np.isnan(out)] = 0.0
+        return out
+    return _closed_forms(nu_arr, plan)
 
 
-def _closed_forms(nu_arr: np.ndarray, plan: tuple, decay) -> np.ndarray:
-    # _profiles' values, with decay = exp(-nu_arr) when the plan has a
-    # series or a ringing row.  Each branch present is evaluated once for
-    # all of its components, their constants a column against nu, so every
+def _closed_forms(nu_arr: np.ndarray, plan: tuple) -> np.ndarray:
+    # _profiles' values.  Each branch present is evaluated once for all of
+    # its components, their constants a column against nu, so every
     # component keeps the formula (and the bits) of its own branch.
     size, series, ringing, damped = plan
     blocks = []  # (rows, values) of each branch present
     column = (-1,) + (1,) * nu_arr.ndim
+    if series or ringing:
+        decay = np.exp(-nu_arr)
     if series:
         # Series around the critical point mu = 0:
         #   Lambda = e^-nu [(1 + nu) - mu^2 nu^2/2 (1 + nu/3) + O(mu^4)]

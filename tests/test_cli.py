@@ -446,6 +446,7 @@ class TestConfigAndOutput:
             (["cp-scan", "--a2", "0.5", "--nu-max", "1e200", "--steps", "2"], "completely"),
             (["cp-scan", "--nu-max", "1e200", "--steps", "2"], "not completely"),
             (["evolve", "--nu-max", "1e308", "--steps", "2"], None),
+            (["evolve", "--a1", "0.05", "--a2", "0.05", "--nu-max", "1.7e308", "--steps", "2"], None),
         ],
     )
     def test_huge_finite_horizon_runs(self, capsys, argv, line):

@@ -590,7 +590,7 @@ class TestRefinement:
     def test_same_verdicts_and_witnesses_as_reference(self):
         non_cp = 0
         for params, horizon in reference_cases():
-            value, j, nu, _ = positivity._scan(params, horizon)
+            value, j, nu, _ = positivity._scan(params, horizon, False)
             ref_value, ref_j, _ = reference_scan(params, horizon)
             assert (value < -CP_TOLERANCE) == (ref_value < -CP_TOLERANCE), (params, horizon)
             if ref_value < -CP_TOLERANCE:
@@ -614,7 +614,7 @@ class TestRefinement:
         # reference's arithmetic, bit for bit
         monkeypatch.setattr(positivity, "_REFINE_POINTS_FEW", positivity._REFINE_POINTS)
         for params, horizon in reference_cases():
-            got = positivity._scan(params, horizon)
+            got = positivity._scan(params, horizon, False)
             assert got == (*reference_scan(params, horizon), horizon), (params, horizon)
         for params, r, lo, hi in edge_brackets():
             start = (math.inf, 0, 0.0)
@@ -629,7 +629,7 @@ class TestRefinement:
         # at the real point counts, 201 for a lone bracket (the float rounds
         # of _refine_one) and max(21, 201 // k) for k brackets
         for params, horizon in reference_cases():
-            got = positivity._scan(params, horizon)
+            got = positivity._scan(params, horizon, False)
             assert got == (*reference_scan(params, horizon, 201), horizon), (params, horizon)
         rng = np.random.default_rng(55)
         for params, r, lo, hi in edge_brackets():
@@ -786,7 +786,7 @@ class TestCpCut:
 
     def test_is_cp_equals_the_full_scan(self):
         for params, horizon in parity_cases():
-            value, j, nu, _ = positivity._scan(params, horizon)
+            value, j, nu, _ = positivity._scan(params, horizon, False)
             verdict = is_cp(params, nu_max=horizon)
             assert verdict.is_cp == (value >= -CP_TOLERANCE) and verdict.horizon == horizon
             if not verdict.is_cp:
@@ -825,7 +825,7 @@ class TestSearchCut:
         evaluations = count_evaluations(monkeypatch)
         scans = []
 
-        def recording_scan(params, nu_max, cut=False):
+        def recording_scan(params, nu_max, cut):
             first = len(evaluations)
             found = scan(params, nu_max, cut)
             scans.append((params, cut, evaluations[first].size))

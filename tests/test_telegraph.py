@@ -303,10 +303,10 @@ class TestRelaxationProfile:
         val = relaxation_profile(5000.0, 0.01)
         assert np.isfinite(val) and 0.0 <= val < 1.0
 
-    @pytest.mark.parametrize("nu, kt", [(1e300, 0.25), (5e307, 1.0)])
+    @pytest.mark.parametrize("nu, kt", [(1e300, 0.25), (5e307, 1.0), (1.7e308, 0.1)])
     def test_zero_where_the_decay_underflows(self, nu, kt):
-        # the series' nu^2 and the ringing phase mu nu overflow, but
-        # exp(-nu) is 0 there, and so is the profile, with no warning
+        # the series' nu^2, the ringing phase mu nu and the damped fast
+        # exponent overflow, but the profile is 0 there, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert relaxation_profile(nu, kt) == 0.0
