@@ -29,7 +29,10 @@ the field lies along one axis is decided once per ensemble.  The timeline
 runs in windows of a fixed number of (step, trajectory) slots: a window's
 step angles, their cosines and sines and its axis signs are computed
 before its loop, which only rotates and keeps each step's Bloch vector,
-and one gather then reads the grid rows the window recorded.
+and one gather then reads the grid rows the window recorded.  The window
+buffers are views of one workspace per thread, reused across calls and at
+most 2.25 MiB (under 3 MiB) per thread, so a call faults in no fresh pages
+for them; each block writes its rows straight into the ensemble's array.
 ``trajectory_rng`` and ``sample_path`` draw one path at a time from a
 per-(seed, index) stream, a different stream family from the blocks.
 """
@@ -37,6 +40,7 @@ per-(seed, index) stream, a different stream family from the blocks.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +126,8 @@ def _nu_grid(grid) -> np.ndarray:
 # Timeline slots (steps x trajectories) that _evolve runs per window: its
 # per-window buffers (trig, axis signs, history) stay bounded at any horizon.
 _WINDOW = 1 << 15
+# Holds each thread's _workspace buffer, so that threads share none.
+_WORKSPACE = threading.local()
 # Axis of each row of the rolled (y, z, x, y, z) layout, in which the cross
 # product k x b is two products of contiguous three-row slices.
 _ROLLED = np.array([1, 2, 0, 1, 2])
@@ -180,7 +186,21 @@ def _timeline(owner, time, t_grid, n):
     return times, kinds, rec
 
 
-def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
+def _workspace(size: int) -> np.ndarray:
+    """This thread's flat float buffer of ``size`` slots, kept across calls.
+
+    It grows on demand and lives as long as the thread, so a call does not
+    fault in fresh pages for its window buffers; _evolve asks for at most
+    9 x _WINDOW slots (2.25 MiB).  Each thread has its own, so concurrent
+    calls share none.
+    """
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE.buf = np.empty(size)
+    return buf[:size]
+
+
+def _evolve(amps, owner, time, b0, t_grid, out=None) -> np.ndarray:
     """Bloch rows at ``t_grid`` of each trajectory: (n, len(t_grid), 3).
 
     ``amps`` (n, 3) holds each trajectory's signed initial couplings, and
@@ -192,11 +212,14 @@ def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
     trajectory takes the rotations it would take alone.  Every trajectory
     has the same nonzero couplings at every step, so whether the field lies
     along one axis ``i`` (which leaves b[i] untouched) is decided once.
+    The rows are written to ``out`` when given (an (n, len(t_grid), 3)
+    array), and returned.
 
     The steps run in windows of ``_WINDOW`` slots.  A window's angles, their
     cosines and sines and its axis signs are computed before its loop, which
     only rotates and keeps each step's vector; one gather then reads the
-    grid rows the window recorded.
+    grid rows the window recorded.  These buffers are views of this
+    thread's ``_workspace``.
     """
     n, m = amps.shape[0], t_grid.size
     g = np.sqrt((amps * amps).sum(axis=1))
@@ -216,26 +239,35 @@ def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
     b = np.repeat(b0[layout, None], n, axis=1)
     p, q, dot = np.empty((3, n)), np.empty((3, n)), np.empty(n)
     w = min(steps, max(1, _WINDOW // n))
-    hist = np.empty((w, 3, n))  # each step's b[-3:], rows layout[-3:]
+    # each step's b[-3:] (rows layout[-3:]); the angle, then 1 - cos, the
+    # cosine and the sine; the signs, -1 where a step flips k's axis, else 1
+    buf = _workspace(w * n * (6 + k.shape[0]))
+    hist = buf[: 3 * w * n].reshape(w, 3, n)
+    trig = buf[3 * w * n : 6 * w * n].reshape(3, w, n)
+    signs = buf[6 * w * n :].reshape(w, k.shape[0], n)
     # hist index of each (trajectory, grid row) for a window at step 0, and
     # the offset of each axis's row
     at, offsets = rec * (3 * n) + np.arange(n)[:, None], np.argsort(layout[-3:]) * n
-    out = np.empty((n, m, 3))
+    if out is None:
+        out = np.empty((n, m, 3))
     for w0 in range(0, steps, w):
         w1 = min(w0 + w, steps)
-        angle = times[w0 + 1 : w1 + 1] - times[w0:w1]
+        angle, c, s = trig[:, : w1 - w0]
+        sign = signs[: w1 - w0]
+        np.subtract(times[w0 + 1 : w1 + 1], times[w0:w1], out=angle)
         angle *= 2.0 * g
-        c, s = np.cos(angle), np.sin(angle)
-        sign = np.empty((w1 - w0, k.shape[0], n))  # -1 where a step flips k's axis, else 1
+        np.cos(angle, out=c)
+        np.sin(angle, out=s)
         for r, a in enumerate(k_axes):
             np.equal(kinds[w0 + 1 : w1 + 1], a, out=sign[:, r])
         sign *= -2.0
         sign += 1.0
         if i is None:
+            ones_c = np.subtract(1.0, c, out=angle)
             # k x b = k[:3] b[1:4] - k[1:4] b[:3] in rows (x, y, z)
             bx, b1, b2, kx, k1, k2 = b[2:], b[1:4], b[:3], k[2:], k[:3], k[1:4]
             p0, p1, p2, head, tail = p[0], p[1], p[2], b[:2], b[3:]
-            for ht, ct, st, ot, ft in zip(hist, c, s, 1.0 - c, sign):
+            for ht, ct, st, ot, ft in zip(hist, c, s, ones_c, sign):
                 np.multiply(kx, bx, out=p)
                 np.add(p0, p1, out=dot)
                 dot += p2
@@ -262,8 +294,9 @@ def _evolve(amps, owner, time, b0, t_grid) -> np.ndarray:
                 np.add(p1, q0, out=bk)
                 ht[...] = b
                 k *= ft
-        # the rows this window recorded; a row recorded later reads garbage
-        # here until its own window, and rows of earlier windows are kept
+        # the rows this window recorded; a row recorded later reads another
+        # window's or an earlier call's values here until its own window,
+        # and rows of earlier windows are kept
         done = rec >= w0 if w0 else True
         for d, offset in enumerate(offsets - w0 * 3 * n):
             np.copyto(out[..., d], np.take(hist, at + offset, mode="clip"), where=done)
@@ -375,7 +408,7 @@ def _trajectories(params: ModelParams, rho0, grid, n: int, seed: int) -> np.ndar
     t_grid = (2.0 * params.tau) * grid
     out = np.empty((n, grid.size, 3))
     for start, amps, owner, time in _blocks(params.a, params.tau, t_grid[-1], n, seed):
-        out[start : start + amps.shape[0]] = _evolve(amps, owner, time, b0, t_grid)
+        _evolve(amps, owner, time, b0, t_grid, out[start : start + amps.shape[0]])
     return out
 
 
@@ -388,6 +421,8 @@ def ensemble_average(
     the streams are keyed by (seed, block) and the reduction runs in index
     order.
     """
+    if not float(n_trajectories).is_integer():
+        raise ValueError(f"n_trajectories must be a whole number, got {n_trajectories!r}")
     n = int(n_trajectories)
     if n < 2:
         raise ValueError("need at least 2 trajectories for a standard error")

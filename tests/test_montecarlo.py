@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -676,6 +678,10 @@ class TestEnsembleAverage:
         p = ModelParams(a=(1.0, 0.0, 0.0), tau=1.0)
         with pytest.raises(ValueError):
             ensemble_average(p, np.eye(2) / 2.0, np.array([0.0, 1.0]), 1, seed=0)
+        # a count that is not a whole number is refused, not truncated
+        for n in (2.7, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                ensemble_average(p, np.eye(2) / 2.0, np.array([0.0, 1.0]), n, seed=0)
 
     @pytest.mark.parametrize("last", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, last):
@@ -741,3 +747,64 @@ class TestEnsembleAverage:
             p, bloch_to_density([0.0, 0.0, 1.0]), np.linspace(0.0, 3.0, 10), 500, seed=3
         )
         assert np.all(np.linalg.norm(res.mean_bloch, axis=1) <= 1.0 + 1e-12)
+
+
+def run_in_threads(targets, timeout=120.0):
+    """Start one thread per target together, with a short switch interval,
+    and check that every thread finished."""
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestWorkspace:
+    def test_concurrent_ensembles_keep_their_bytes(self):
+        # each thread evolves in its own window buffers, so two ensembles run
+        # together give the bytes of sequential calls; N = 1024 on 41 points
+        # crosses several windows of _WINDOW // 1024 = 32 steps
+        rho0 = bloch_to_density([0.0, 0.6, 0.8])
+        cases = [
+            (ModelParams(a=(1.0, 0.7, 0.4), tau=1.0), np.linspace(0.0, 4.0, 41), 1024),
+            (ModelParams(a=(0.6, 0.0, 0.9), tau=0.7), np.linspace(0.0, 2.0, 11), 32),
+        ]
+
+        def results(case):
+            res = ensemble_average(case[0], rho0, case[1], case[2], seed=3)
+            return res.mean_bloch.tobytes() + res.stderr.tobytes()
+
+        want = [results(case) for case in cases]
+        got = [[], []]
+        run_in_threads(
+            [lambda k=k: got[k].extend(results(cases[k]) for _ in range(20)) for k in range(2)]
+        )
+        assert got == [[want[0]] * 20, [want[1]] * 20]
+
+    def test_workspace_bounded_and_kept_across_calls(self):
+        # in a fresh thread, so other tests' calls do not count: a
+        # long-horizon block and a one-trajectory evolution leave at most
+        # 3 MiB, and a later, smaller ensemble reuses that buffer
+        p = ModelParams(a=(1.0, 0.7, 0.4), tau=1.0)
+        rho0 = bloch_to_density([0.0, 0.6, 0.8])
+        grid = np.linspace(0.0, 100.0, 41)
+        seen = []
+
+        def run():
+            ensemble_average(p, rho0, grid, 1024, seed=1)
+            paths = tuple(
+                sample_path(p.tau, a, 200.0, trajectory_rng(1, k)) for k, a in enumerate(p.a)
+            )
+            evolve_trajectory(paths, rho0, grid)
+            buf = montecarlo._WORKSPACE.buf
+            ensemble_average(p, rho0, grid[:11], 256, seed=2)
+            seen.extend([buf.nbytes, montecarlo._WORKSPACE.buf is buf])
+
+        run_in_threads([run])
+        assert seen[0] <= 3 * 2**20 and seen[1]

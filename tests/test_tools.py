@@ -27,7 +27,8 @@ def test_parity_quick_against_the_working_tree():
     assert time.perf_counter() - start <= 5.0
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["is_cp", "boundary", "cli", "profiles"]
+    groups = ["is_cp", "boundary", "cli", "profiles", "ensembles"]
+    assert [line.split(":")[0] for line in lines] == groups
     for line in lines:
         count = int(line.split(": ")[1].split(" cases")[0])
         assert count > 0 and ", 0 differ," in line, line
@@ -36,7 +37,7 @@ def test_parity_quick_against_the_working_tree():
 def test_boundary_differences_in_units_of_delta():
     # delta = 1e-6 max(1, b), b the other tree's boundary
     parity = load_parity()
-    empty = {"is_cp": [], "cli": [], "profiles": []}
+    empty = {"is_cp": [], "cli": [], "profiles": [], "ensembles": []}
     ours = {**empty, "boundary": [["a", [2.0 + 3e-6, 2]], ["b", [0.5, 3]]]}
     theirs = {**empty, "boundary": [["a", [2.0, 2]], ["b", [0.5, 2]]]}
     report = {group: (line, differ) for group, line, differ in parity.compare(ours, theirs)}
@@ -50,7 +51,7 @@ def test_profile_differences_where_the_other_tree_has_nan():
     # a value the other tree returned as nan, or a check it failed on nan
     parity = load_parity()
     nan_error = "NotAStateError: Bloch vector norm must be <= 1, got nan"
-    empty = {"is_cp": [], "cli": [], "boundary": []}
+    empty = {"is_cp": [], "cli": [], "boundary": [], "ensembles": []}
     ours = {**empty, "profiles": [["a", [1.0, 0.0]], ["b", [0.0]], ["c", [0.5, 0.0]], ["d", [2.0]]]}
     nan = math.nan
     theirs = {**empty, "profiles": [["a", [1.0, nan]], ["b", [nan_error]], ["c", [0.25, nan]], ["d", [2.0]]]}

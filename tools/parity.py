@@ -19,7 +19,12 @@ and compares the results bit for bit.  Groups:
   ``choi_matrix`` and ``propagate`` in every branch of the closed form and
   on both sides of the critical series window, at scalar nu (float,
   ``np.float64`` and 0-d array) and array nu, nu = 0, -0.0, 5e-324 and
-  1e300 among them.
+  1e300 among them;
+* ``ensembles``: ``ensemble_average``'s ``mean_bloch`` and ``stderr`` on
+  mc_oracle-like inputs (1 to 3 axes, damped, critical and ringing, nu_max
+  2, 4 and 8, N = 256 on 41 points), on point_audit-like inputs (N = 32 on
+  11 points), on a two-block N = 1100 run and on a long-horizon
+  (nu_max = 100) N = 1024 run.
 
 Per group it prints the case count, the number of cases that differ in any
 bit and the largest absolute difference of a numeric field (for ``cli``,
@@ -48,7 +53,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GROUPS = ("is_cp", "boundary", "cli", "profiles")
+GROUPS = ("is_cp", "boundary", "cli", "profiles", "ensembles")
 LADDER = (0.1, 0.3, 1.0, 3.0, 10.0, 50.0)
 C_STAR = 0.7058598262632272
 
@@ -218,12 +223,60 @@ def profile_results(quick: bool):
     return out
 
 
+def ensemble_cases(quick: bool):
+    """(label, params, rho0, grid, N, seed) of each ensemble."""
+    import numpy as np
+    from rtnqubit import ModelParams, bloch_to_density
+
+    def case(kind, d, kappa_tau, tau, b0, grid, n, seed):
+        # d scaled so that its largest kappa_i * tau is kappa_tau
+        a = d * (kappa_tau / (tau * float(np.max(ModelParams(a=tuple(d), tau=1.0).kappas))))
+        p = ModelParams(a=tuple(a), tau=tau)
+        label = f"{kind} a={p.a} tau={tau} b0={b0} nu_max={grid[-1]} m={grid.size}"
+        label += f" N={n} seed={seed}"
+        return label, p, bloch_to_density(b0), grid, n, seed
+
+    def draw(rng, n_axes, low):
+        d = np.zeros(3)
+        d[rng.permutation(3)[:n_axes]] = [1.0, *rng.uniform(low, 1.0, n_axes - 1)]
+        b0 = rng.normal(size=3)
+        return d, float(rng.uniform(0.5, 2.0)), (b0 / np.linalg.norm(b0)).tolist()
+
+    rng = np.random.default_rng(6)
+    cases = []
+    for k in range(27 * (1 if quick else 10)):  # mc_oracle-like
+        d, tau, b0 = draw(rng, k % 3 + 1, 0.5)
+        kappa_tau = (rng.uniform(0.05, 0.2), 0.25, rng.uniform(0.5, 2.0))[k // 9 % 3]
+        grid = np.linspace(0.0, (2.0, 4.0, 8.0)[k // 3 % 3], 41)
+        cases.append(case("mc_oracle", d, kappa_tau, tau, b0, grid, 256, 10_000_000 + k))
+    for k in range(20 if quick else 300):  # point_audit-like
+        d, tau, b0 = draw(rng, k % 3 + 1, 0.3)
+        kappa_tau = rng.uniform(0.1, math.sqrt(2.0))
+        cases.append(case("point_audit", d, kappa_tau, tau, b0, np.linspace(0.0, 4.0, 11), 32, k))
+    d, tau, b0 = draw(rng, 3, 0.3)
+    cases.append(case("two blocks", d, 1.0, tau, b0, np.linspace(0.0, 2.0, 5), 1100, 2026))
+    cases.append(case("long horizon", d, 1.0, tau, b0, np.linspace(0.0, 100.0, 41), 1024, 1))
+    return cases
+
+
+def ensemble_results(quick: bool):
+    """[case, mean_bloch then stderr, flat] of each ensemble."""
+    from rtnqubit import ensemble_average
+
+    out = []
+    for label, params, rho0, grid, n, seed in ensemble_cases(quick):
+        res = ensemble_average(params, rho0, grid, n, seed)
+        out.append([label, res.mean_bloch.ravel().tolist() + res.stderr.ravel().tolist()])
+    return out
+
+
 def emit(quick: bool) -> dict:
     """Every group's results in this process's rtnqubit, as JSON-ready lists."""
     import rtnqubit
     from rtnqubit import cli, positivity
 
     out = {"source": rtnqubit.__file__, "is_cp": [], "boundary": [], "cli": []}
+    out["ensembles"] = ensemble_results(quick)
     with warnings.catch_warnings():  # a tree may warn where it overflows
         warnings.simplefilter("ignore")
         out["profiles"] = profile_results(quick)
